@@ -178,12 +178,14 @@ func collectiveCalls(pass *Pass, stmt ast.Stmt) map[string][]token.Pos {
 // returnsNonNilError reports whether the block ends in a return whose
 // results include an error-typed expression other than the nil literal —
 // the shape of an error bail-out, as opposed to a plain rank-gated return.
+// A return that itself calls a collective (return d.EndDef()) is not a
+// bail-out: it is the rank-guarded collective.
 func returnsNonNilError(pass *Pass, b *ast.BlockStmt) bool {
 	if len(b.List) == 0 {
 		return false
 	}
 	ret, ok := b.List[len(b.List)-1].(*ast.ReturnStmt)
-	if !ok {
+	if !ok || len(collectiveCalls(pass, ret)) > 0 {
 		return false
 	}
 	for _, res := range ret.Results {

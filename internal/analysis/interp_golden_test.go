@@ -21,9 +21,35 @@ func loadFixtureTree(t *testing.T, fixture string) []*Package {
 	return pkgs
 }
 
+// withModuleDeps returns pkgs plus every module package they import,
+// transitively, so the engine's summaries reach into the real library code
+// a fixture calls exactly as they do when nclint runs over the module.
+func withModuleDeps(l *Loader, pkgs []*Package) []*Package {
+	seen := map[string]bool{}
+	var out []*Package
+	var visit func(p *Package)
+	visit = func(p *Package) {
+		if seen[p.Path] {
+			return
+		}
+		seen[p.Path] = true
+		out = append(out, p)
+		for _, imp := range p.Types.Imports() {
+			if dep := l.pkgs[imp.Path()]; dep != nil {
+				visit(dep)
+			}
+		}
+	}
+	for _, p := range pkgs {
+		visit(p)
+	}
+	return out
+}
+
 // runGoldenInterp is the interprocedural golden harness: it runs the named
-// checker with the module engine over every package of the fixture tree and
-// matches the want comments — then re-runs the same checker
+// checker over every package of the fixture tree, with the engine built
+// over the tree and the module packages it imports, and matches the want
+// comments — then re-runs the same checker
 // intraprocedurally and requires silence, proving the engine sees strictly
 // more than the per-function analysis.
 func runGoldenInterp(t *testing.T, checkerName, fixture string) {
@@ -34,7 +60,7 @@ func runGoldenInterp(t *testing.T, checkerName, fixture string) {
 		t.Fatal(err)
 	}
 
-	diags := RunCheckersInterp(pkgs, checkers)
+	diags := run(pkgs, checkers, NewEngine(withModuleDeps(sharedLoader(t), pkgs)))
 	var wants []wantSpec
 	for _, pkg := range pkgs {
 		wants = append(wants, parseWants(t, pkg)...)

@@ -3,7 +3,10 @@
 // checker's full-path type matching is exercised exactly as on module code.
 package collsym
 
-import "pnetcdf/internal/mpi"
+import (
+	"pnetcdf/internal/core"
+	"pnetcdf/internal/mpi"
+)
 
 // rankGuardedCollective is the canonical bug: only rank 0 enters the
 // Barrier, every other rank deadlocks.
@@ -39,6 +42,16 @@ func errorBailout(c *mpi.Comm, err error) error {
 		return err
 	}
 	c.Barrier()
+	return nil
+}
+
+// rankGuardedCollectiveReturn: returning an error does not make a branch a
+// bail-out when the returned expression is itself the collective — only
+// rank 0 enters EndDef, and the other ranks never meet it.
+func rankGuardedCollectiveReturn(c *mpi.Comm, d *core.Dataset) error {
+	if c.Rank() == 0 {
+		return d.EndDef() // want `collective Dataset\.EndDef is conditioned on the process rank`
+	}
 	return nil
 }
 

@@ -8,7 +8,9 @@ package fix
 import (
 	"fixture/collsym_interp/helper"
 
+	"pnetcdf/internal/core"
 	"pnetcdf/internal/mpi"
+	"pnetcdf/internal/nctype"
 )
 
 // rankGuardedHelper is the canonical bug one extraction away: only rank 0
@@ -41,5 +43,23 @@ func symmetricHelper(c *mpi.Comm, hdr []byte) {
 func pureHelper(c *mpi.Comm) {
 	if c.Rank() == 0 {
 		helper.Pure(c)
+	}
+}
+
+// rankGuardedDataModeRename: a data-mode rename commits the header
+// collectively, so only rank 0 entering it leaves the others behind. The
+// rename is not a listed collective; only the summary of the header commit
+// it reaches reveals the agreement inside.
+func rankGuardedDataModeRename(c *mpi.Comm, d *core.Dataset) {
+	if c.Rank() == 0 {
+		_ = d.RenameVar(0, "t") // want `collective \w+\.RenameVar \(which may reach [^)]*Comm\.AgreeError`
+	}
+}
+
+// rankGuardedDataModePutAttr: the same for a data-mode attribute
+// overwrite.
+func rankGuardedDataModePutAttr(c *mpi.Comm, d *core.Dataset) {
+	if c.Rank() == 0 {
+		_ = d.PutAttr(core.GlobalID, "step", nctype.Int, []int32{1}) // want `collective \w+\.PutAttr \(which may reach [^)]*Comm\.AgreeError`
 	}
 }

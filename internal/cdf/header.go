@@ -4,8 +4,11 @@
 // and record variables interleaved by record, and the big-endian external
 // data encoding.
 //
-// The package is pure encoding/decoding and layout arithmetic; it performs
-// no I/O. Both the serial library (internal/netcdf) and the parallel library
+// The package is encoding/decoding and layout arithmetic, plus Schema, the
+// define-mode and inquiry calls over an in-memory header that both
+// libraries embed; it performs no I/O itself (a data-mode header change is
+// committed through the embedding library's HeaderCommitter). Both the
+// serial library (internal/netcdf) and the parallel library
 // (internal/core) share it, which is what guarantees that files written by
 // one are readable by the other — the property the paper relies on when it
 // keeps "the original netCDF file format (version 3)".

@@ -12,60 +12,6 @@ import (
 	"pnetcdf/internal/span"
 )
 
-// --- Inquiry functions: purely local, no synchronization (paper §4.3) ---
-
-// NumDims returns the number of dimensions.
-func (d *Dataset) NumDims() int { return len(d.hdr.Dims) }
-
-// NumVars returns the number of variables.
-func (d *Dataset) NumVars() int { return len(d.hdr.Vars) }
-
-// NumRecs returns this process's view of the record count (collective ops
-// and Sync keep it agreed across processes).
-func (d *Dataset) NumRecs() int64 { return d.hdr.NumRecs }
-
-// UnlimitedDimID returns the record dimension's ID, or -1.
-func (d *Dataset) UnlimitedDimID() int { return d.hdr.UnlimitedDimID() }
-
-// DimID looks a dimension up by name (-1 if absent).
-func (d *Dataset) DimID(name string) int { return d.hdr.FindDim(name) }
-
-// VarID looks a variable up by name (-1 if absent).
-func (d *Dataset) VarID(name string) int { return d.hdr.FindVar(name) }
-
-// InqDim returns a dimension's name and length.
-func (d *Dataset) InqDim(dimid int) (string, int64, error) {
-	if dimid < 0 || dimid >= len(d.hdr.Dims) {
-		return "", 0, nctype.ErrNotDim
-	}
-	dim := d.hdr.Dims[dimid]
-	return dim.Name, dim.Len, nil
-}
-
-// InqVar returns a variable's name, type and dimension IDs.
-func (d *Dataset) InqVar(varid int) (string, nctype.Type, []int, error) {
-	if varid < 0 || varid >= len(d.hdr.Vars) {
-		return "", 0, nil, nctype.ErrNotVar
-	}
-	v := &d.hdr.Vars[varid]
-	return v.Name, v.Type, append([]int(nil), v.DimIDs...), nil
-}
-
-// VarShape returns a variable's current dimension lengths.
-func (d *Dataset) VarShape(varid int) ([]int64, error) {
-	if varid < 0 || varid >= len(d.hdr.Vars) {
-		return nil, nctype.ErrNotVar
-	}
-	return d.hdr.VarShape(&d.hdr.Vars[varid]), nil
-}
-
-func (d *Dataset) varByID(varid int) (*cdf.Var, error) {
-	if varid < 0 || varid >= len(d.hdr.Vars) {
-		return nil, nctype.ErrNotVar
-	}
-	return &d.hdr.Vars[varid], nil
-}
-
 // --- High-level data access API (paper §4.1) ---
 //
 // Collective variants carry the All suffix and must be called by every
@@ -105,7 +51,7 @@ func (d *Dataset) GetVarmAll(varid int, start, count, stride, imap []int64, data
 
 // PutVarAll collectively writes a whole variable.
 func (d *Dataset) PutVarAll(varid int, data any) error {
-	start, count, err := d.wholeVar(varid, data)
+	start, count, err := d.WholeVar(varid, data)
 	if err != nil {
 		return err
 	}
@@ -114,7 +60,7 @@ func (d *Dataset) PutVarAll(varid int, data any) error {
 
 // GetVarAll collectively reads a whole variable.
 func (d *Dataset) GetVarAll(varid int, data any) error {
-	start, count, err := d.wholeVar(varid, data)
+	start, count, err := d.WholeVar(varid, data)
 	if err != nil {
 		return err
 	}
@@ -170,25 +116,6 @@ func onesLike(index []int64) []int64 {
 		ones[i] = 1
 	}
 	return ones
-}
-
-func (d *Dataset) wholeVar(varid int, data any) ([]int64, []int64, error) {
-	v, err := d.varByID(varid)
-	if err != nil {
-		return nil, nil, err
-	}
-	shape := d.hdr.VarShape(v)
-	start := make([]int64, len(shape))
-	if d.hdr.IsRecordVar(v) && len(shape) > 0 && shape[0] == 0 {
-		inner := int64(1)
-		for _, s := range shape[1:] {
-			inner *= s
-		}
-		if inner > 0 {
-			shape[0] = int64(cdf.SliceLen(data)) / inner
-		}
-	}
-	return start, shape, nil
 }
 
 // --- Flexible API (paper §4.1): noncontiguous memory via MPI datatypes ---
@@ -252,7 +179,7 @@ func (d *Dataset) getCommon(varid int, start, count, stride, imap []int64, data 
 }
 
 func (d *Dataset) checkMode(collective bool) error {
-	if err := d.checkData(); err != nil {
+	if err := d.CheckData(); err != nil {
 		return err
 	}
 	if collective && d.indep {
@@ -275,14 +202,14 @@ func (d *Dataset) putFlex(varid int, start, count, stride []int64, data any, mem
 	if err := d.checkMode(collective); err != nil {
 		return err
 	}
-	if d.ro {
+	if d.ReadOnly {
 		return nctype.ErrPerm
 	}
-	v, err := d.varByID(varid)
+	v, err := d.VarByID(varid)
 	if err != nil {
 		return err
 	}
-	req, err := access.Validate(d.hdr, v, start, count, stride, true)
+	req, err := access.Validate(d.Hdr, v, start, count, stride, true)
 	if err != nil {
 		return err
 	}
@@ -319,18 +246,18 @@ func (d *Dataset) putFlex(varid int, start, count, stride []int64, data any, mem
 	// the maximum first, so all ranks make the same grow-or-not decision —
 	// writeNumRecs is collective, and a rank skipping it would hang the rest.
 	if collective {
-		agreed := d.comm.AllreduceI64([]int64{req.LastRecord, d.hdr.NumRecs}, mpi.OpMax)
-		if agreed[1] > d.hdr.NumRecs {
-			d.hdr.NumRecs = agreed[1]
+		agreed := d.comm.AllreduceI64([]int64{req.LastRecord, d.Hdr.NumRecs}, mpi.OpMax)
+		if agreed[1] > d.Hdr.NumRecs {
+			d.Hdr.NumRecs = agreed[1]
 		}
-		if last := agreed[0]; last >= d.hdr.NumRecs {
-			d.hdr.NumRecs = last + 1
+		if last := agreed[0]; last >= d.Hdr.NumRecs {
+			d.Hdr.NumRecs = last + 1
 			if err := d.writeNumRecs(); err != nil {
 				return err
 			}
 		}
-	} else if req.LastRecord >= d.hdr.NumRecs {
-		d.hdr.NumRecs = req.LastRecord + 1
+	} else if req.LastRecord >= d.Hdr.NumRecs {
+		d.Hdr.NumRecs = req.LastRecord + 1
 		d.numrecsDirty = true
 	}
 	d.invalidate(varid)
@@ -400,9 +327,9 @@ func (d *Dataset) getFlex(varid int, start, count, stride []int64, data any, mem
 		if d.pendingWrite(varid) {
 			pend = 1
 		}
-		agreed := d.comm.AllreduceI64([]int64{d.hdr.NumRecs, pend}, mpi.OpMax)
-		if agreed[0] > d.hdr.NumRecs {
-			d.hdr.NumRecs = agreed[0]
+		agreed := d.comm.AllreduceI64([]int64{d.Hdr.NumRecs, pend}, mpi.OpMax)
+		if agreed[0] > d.Hdr.NumRecs {
+			d.Hdr.NumRecs = agreed[0]
 		}
 		if agreed[1] != 0 {
 			return nctype.ErrPending
@@ -412,11 +339,11 @@ func (d *Dataset) getFlex(varid int, start, count, stride []int64, data any, mem
 		// queue (peer queues are invisible to independent I/O anyway).
 		return nctype.ErrPending
 	}
-	v, err := d.varByID(varid)
+	v, err := d.VarByID(varid)
 	if err != nil {
 		return err
 	}
-	req, err := access.Validate(d.hdr, v, start, count, stride, false)
+	req, err := access.Validate(d.Hdr, v, start, count, stride, false)
 	if err != nil {
 		return err
 	}

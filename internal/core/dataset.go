@@ -35,22 +35,22 @@ import (
 )
 
 // GlobalID addresses the dataset itself in attribute calls (NC_GLOBAL).
-const GlobalID = -1
+const GlobalID = cdf.GlobalID
 
 // Dataset is an open parallel netCDF dataset. Every process in the
 // communicator holds its own *Dataset whose header copies are kept
-// identical by the collective define-mode calls.
+// identical by the collective define-mode calls. The embedded schema
+// carries the define-mode and inquiry calls, which every process must make
+// with identical arguments (EndDef verifies); a data-mode header change is
+// committed collectively through CommitHeader.
 type Dataset struct {
+	cdf.Schema
 	comm *mpi.Comm
 	fsys *pfs.FS
 	f    *mpiio.File
-	hdr  *cdf.Header
 	path string
 
-	define bool
-	indep  bool
-	ro     bool
-	closed bool
+	indep bool
 
 	hAlign, vAlign int64
 	fill           bool
@@ -70,8 +70,7 @@ type Dataset struct {
 	// cleared whenever a define-mode transition recomputes the layout.
 	views map[viewKey]mpitype.Datatype
 
-	oldLayout *cdf.Header
-	pending   []pendingOp // nonblocking iput/iget queue
+	pending []pendingOp // nonblocking iput/iget queue
 
 	// st/tr/sp are the rank's iostat collectors and span recorder, cached
 	// from the communicator (nil = off).
@@ -106,11 +105,10 @@ func Create(comm *mpi.Comm, fsys *pfs.FS, path string, cmode int, info *mpi.Info
 	}
 	d := &Dataset{
 		comm: comm, fsys: fsys, f: f, path: path,
-		hdr:    &cdf.Header{Version: version},
-		define: true,
 		hAlign: info.GetInt("nc_header_align_size", 1),
 		vAlign: info.GetInt("nc_var_align_size", 1),
 	}
+	d.Schema = cdf.NewSchema(&cdf.Header{Version: version}, true, false, d)
 	d.st, d.tr = comm.Proc().Stats(), comm.Proc().Trace()
 	d.sp = comm.Proc().Spans()
 	return d, nil
@@ -171,19 +169,18 @@ func Open(comm *mpi.Comm, fsys *pfs.FS, path string, omode int, info *mpi.Info) 
 	}
 	d := &Dataset{
 		comm: comm, fsys: fsys, f: f, path: path,
-		hdr:    hdr,
-		ro:     omode&nctype.Write == 0,
 		hAlign: info.GetInt("nc_header_align_size", 1),
 		vAlign: info.GetInt("nc_var_align_size", 1),
 
 		persistedNumRecs: hdr.NumRecs,
 	}
+	d.Schema = cdf.NewSchema(hdr, false, omode&nctype.Write == 0, d)
 	d.st, d.tr = comm.Proc().Stats(), comm.Proc().Trace()
 	d.sp = comm.Proc().Spans()
 	d.st.Add(iostat.NCHeaderBcastBytes, int64(len(blob)))
 	if recovered {
 		d.st.Add(iostat.NCHeaderRecoveries, 1)
-		if !d.ro {
+		if !d.ReadOnly {
 			// Repair the torn in-place header from the journaled image.
 			if err := d.writeHeaderCollective(); err != nil {
 				return nil, err
@@ -256,242 +253,62 @@ func recoverJournal(f *mpiio.File, size int64) []byte {
 // Comm returns the dataset's communicator.
 func (d *Dataset) Comm() *mpi.Comm { return d.comm }
 
-// Header exposes the local header copy (inquiry use).
-func (d *Dataset) Header() *cdf.Header { return d.hdr }
-
 // SetFill enables prefilling of variables at EndDef (PnetCDF defaults to
 // nofill; this mirrors ncmpi_set_fill with NC_FILL).
 func (d *Dataset) SetFill(on bool) { d.fill = on }
-
-func (d *Dataset) checkDefine() error {
-	switch {
-	case d.closed:
-		return nctype.ErrClosed
-	case d.ro:
-		return nctype.ErrPerm
-	case !d.define:
-		return nctype.ErrNotInDefine
-	}
-	return nil
-}
-
-func (d *Dataset) checkData() error {
-	switch {
-	case d.closed:
-		return nctype.ErrClosed
-	case d.define:
-		return nctype.ErrInDefine
-	}
-	return nil
-}
-
-// --- Define mode functions (collective; same syntax as serial, paper §4.1) ---
-
-// DefDim defines a dimension; size 0 declares the unlimited dimension.
-// All processes must call it with identical arguments.
-func (d *Dataset) DefDim(name string, size int64) (int, error) {
-	if err := d.checkDefine(); err != nil {
-		return -1, err
-	}
-	if err := cdf.CheckName(name); err != nil {
-		return -1, err
-	}
-	if d.hdr.FindDim(name) >= 0 {
-		return -1, fmt.Errorf("%w: dimension %q", nctype.ErrNameInUse, name)
-	}
-	if size < 0 {
-		return -1, nctype.ErrBadDim
-	}
-	if size == 0 && d.hdr.UnlimitedDimID() >= 0 {
-		return -1, nctype.ErrMultiUnlimited
-	}
-	d.hdr.Dims = append(d.hdr.Dims, cdf.Dim{Name: name, Len: size})
-	return len(d.hdr.Dims) - 1, nil
-}
-
-// DefVar defines a variable over previously defined dimensions.
-func (d *Dataset) DefVar(name string, t nctype.Type, dimids []int) (int, error) {
-	if err := d.checkDefine(); err != nil {
-		return -1, err
-	}
-	if err := cdf.CheckName(name); err != nil {
-		return -1, err
-	}
-	if d.hdr.FindVar(name) >= 0 {
-		return -1, fmt.Errorf("%w: variable %q", nctype.ErrNameInUse, name)
-	}
-	if !t.Valid(d.hdr.Version) {
-		return -1, nctype.ErrBadType
-	}
-	for pos, id := range dimids {
-		if id < 0 || id >= len(d.hdr.Dims) {
-			return -1, nctype.ErrBadDim
-		}
-		if d.hdr.Dims[id].IsUnlimited() && pos != 0 {
-			return -1, nctype.ErrUnlimPos
-		}
-	}
-	d.hdr.Vars = append(d.hdr.Vars, cdf.Var{
-		Name: name, Type: t, DimIDs: append([]int(nil), dimids...),
-	})
-	return len(d.hdr.Vars) - 1, nil
-}
-
-func (d *Dataset) attrsOf(varid int) (*[]cdf.Attr, error) {
-	if varid == GlobalID {
-		return &d.hdr.GAttrs, nil
-	}
-	if varid < 0 || varid >= len(d.hdr.Vars) {
-		return nil, nctype.ErrNotVar
-	}
-	return &d.hdr.Vars[varid].Attrs, nil
-}
-
-// PutAttr sets an attribute on a variable (or GlobalID). In data mode only
-// same-or-smaller overwrites are allowed, and the root rewrites the header.
-func (d *Dataset) PutAttr(varid int, name string, t nctype.Type, value any) error {
-	if d.closed {
-		return nctype.ErrClosed
-	}
-	if d.ro {
-		return nctype.ErrPerm
-	}
-	attrs, err := d.attrsOf(varid)
-	if err != nil {
-		return err
-	}
-	if err := cdf.CheckName(name); err != nil {
-		return err
-	}
-	a, err := cdf.MakeAttr(name, t, value)
-	if err != nil {
-		return err
-	}
-	if !t.Valid(d.hdr.Version) {
-		return nctype.ErrBadType
-	}
-	if i := cdf.FindAttr(*attrs, name); i >= 0 {
-		if !d.define && len(a.Values) > len((*attrs)[i].Values) {
-			return nctype.ErrNotInDefine
-		}
-		(*attrs)[i] = a
-		if !d.define {
-			return d.writeHeaderCollective()
-		}
-		return nil
-	}
-	if !d.define {
-		return nctype.ErrNotInDefine
-	}
-	*attrs = append(*attrs, a)
-	return nil
-}
-
-// GetAttr returns an attribute's type and decoded value. Purely local — no
-// file access or synchronization, one of PnetCDF's advantages over HDF5's
-// dispersed metadata (paper §4.3).
-func (d *Dataset) GetAttr(varid int, name string) (nctype.Type, any, error) {
-	if d.closed {
-		return 0, nil, nctype.ErrClosed
-	}
-	attrs, err := d.attrsOf(varid)
-	if err != nil {
-		return 0, nil, err
-	}
-	i := cdf.FindAttr(*attrs, name)
-	if i < 0 {
-		return 0, nil, fmt.Errorf("%w: %q", nctype.ErrNotAtt, name)
-	}
-	a := (*attrs)[i]
-	v, err := cdf.DecodeAttrValue(a)
-	return a.Type, v, err
-}
-
-// DelAttr removes an attribute (define mode).
-func (d *Dataset) DelAttr(varid int, name string) error {
-	if err := d.checkDefine(); err != nil {
-		return err
-	}
-	attrs, err := d.attrsOf(varid)
-	if err != nil {
-		return err
-	}
-	i := cdf.FindAttr(*attrs, name)
-	if i < 0 {
-		return fmt.Errorf("%w: %q", nctype.ErrNotAtt, name)
-	}
-	*attrs = append((*attrs)[:i], (*attrs)[i+1:]...)
-	return nil
-}
-
-// AttrNames lists attribute names in definition order.
-func (d *Dataset) AttrNames(varid int) ([]string, error) {
-	attrs, err := d.attrsOf(varid)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, len(*attrs))
-	for i, a := range *attrs {
-		names[i] = a.Name
-	}
-	return names, nil
-}
 
 // EndDef leaves define mode collectively: verifies that every process built
 // an identical header (the consistency guarantee of paper §4.2.1), computes
 // the layout, relocates data if a Redef grew the header, and has the root
 // write the header.
 func (d *Dataset) EndDef() error {
-	if err := d.checkDefine(); err != nil {
+	if err := d.CheckDefine(); err != nil {
 		return err
 	}
-	if err := d.hdr.Validate(); err != nil {
+	if err := d.Hdr.Validate(); err != nil {
 		return err
 	}
-	if err := d.hdr.ComputeLayoutAligned(d.hAlign, d.vAlign); err != nil {
+	if err := d.Hdr.ComputeLayoutAligned(d.hAlign, d.vAlign); err != nil {
 		return err
 	}
 	d.invalidateViews()
-	if !d.comm.AgreeSame(d.hdr.Encode()) {
+	if !d.comm.AgreeSame(d.Hdr.Encode()) {
 		return nctype.ErrConsistency
 	}
-	d.define = false
-	if d.oldLayout != nil {
-		if err := d.relocate(d.oldLayout); err != nil {
+	d.InDefine = false
+	if d.OldLayout != nil {
+		if err := d.relocate(d.OldLayout); err != nil {
 			return err
 		}
-		d.oldLayout = nil
+		d.OldLayout = nil
 	}
 	if err := d.writeHeaderCollective(); err != nil {
 		return err
 	}
+	// The root fills alone; agreeing its outcome keeps a failed fill from
+	// leaving the other ranks behind.
+	var err error
 	if d.fill {
-		if err := d.fillVars(); err != nil {
-			return err
-		}
+		err = d.fillVars()
 	}
-	d.comm.Barrier()
-	return nil
+	return d.comm.AgreeError(err)
 }
 
-// Redef collectively re-enters define mode.
+// Redef collectively re-enters define mode, first agreeing the record
+// count so every rank snapshots the same layout.
 func (d *Dataset) Redef() error {
-	if d.closed {
-		return nctype.ErrClosed
-	}
-	if d.ro {
-		return nctype.ErrPerm
-	}
-	if d.define {
-		return nctype.ErrInDefine
+	if err := d.CheckRedef(); err != nil {
+		return err
 	}
 	if err := d.syncNumRecs(); err != nil {
 		return err
 	}
-	d.oldLayout = d.hdr.Clone()
-	d.define = true
-	return nil
+	return d.Schema.Redef()
 }
+
+// CommitHeader implements cdf.HeaderCommitter: a data-mode header change
+// is committed collectively.
+func (d *Dataset) CommitHeader() error { return d.writeHeaderCollective() }
 
 // writeHeaderCollective has the root commit the header image; the outcome
 // is agreed so every rank returns the same error and nobody runs ahead
@@ -520,7 +337,7 @@ func (d *Dataset) writeHeaderCollective() error {
 func (d *Dataset) commitHeader() error {
 	sc := d.sp.Begin(span.HeaderCommit)
 	defer sc.End()
-	blob := d.hdr.Encode()
+	blob := d.Hdr.Encode()
 	sc.SetBytes(int64(len(blob)))
 	size, err := d.f.Size()
 	if err != nil {
@@ -530,7 +347,7 @@ func (d *Dataset) commitHeader() error {
 	// current size AND past the declared data end, so it never sits inside a
 	// region that an unwritten variable would later read as zero-fill.
 	jOff := size
-	if end := d.hdr.FileSize(); jOff < end {
+	if end := d.Hdr.FileSize(); jOff < end {
 		jOff = end
 	}
 	if end := int64(len(blob)); jOff < end {
@@ -557,55 +374,34 @@ func (d *Dataset) commitHeader() error {
 	}
 	d.st.Add(iostat.NCHeaderCommits, 1)
 	d.st.Add(iostat.NCHeaderWriteBytes, int64(len(blob)))
-	d.persistedNumRecs = d.hdr.NumRecs
+	d.persistedNumRecs = d.Hdr.NumRecs
 	return nil
 }
 
 // relocate moves data after a header-growing Redef. Non-overlapping moves
 // are divided among the processes ("moving the existing data to the
 // extended area is performed in parallel", paper §4.3); overlapping moves
-// fall back to the root walking back to front.
+// fall back to the root walking back to front. The ranks agree on the
+// outcome, so a failed move is one error everywhere.
 func (d *Dataset) relocate(old *cdf.Header) error {
-	type move struct{ from, to, n int64 }
-	var moves []move
-	for i := range d.hdr.Vars {
-		nv := &d.hdr.Vars[i]
-		oi := old.FindVar(nv.Name)
-		if oi < 0 {
-			continue
-		}
-		ov := &old.Vars[oi]
-		if d.hdr.IsRecordVar(nv) {
-			for rec := old.NumRecs - 1; rec >= 0; rec-- {
-				moves = append(moves, move{old.RecordOffset(ov, rec), d.hdr.RecordOffset(nv, rec), ov.VSize})
-			}
-		} else {
-			moves = append(moves, move{ov.Begin, nv.Begin, ov.VSize})
-		}
-	}
-	// Sort by descending destination.
-	for i := 1; i < len(moves); i++ {
-		for j := i; j > 0 && moves[j-1].to < moves[j].to; j-- {
-			moves[j-1], moves[j] = moves[j], moves[j-1]
-		}
-	}
+	moves := d.RelocationMoves(old)
 	overlapping := false
 	for _, m := range moves {
-		if m.from != m.to && m.to < m.from+m.n {
+		if m.From != m.To && m.To < m.From+m.N {
 			overlapping = true
 			break
 		}
 	}
 	buf := make([]byte, 1<<20)
-	doMove := func(m move) error {
-		remaining := m.n
+	doMove := func(m cdf.Move) error {
+		remaining := m.N
 		for remaining > 0 {
 			k := remaining
 			if k > int64(len(buf)) {
 				k = int64(len(buf))
 			}
-			srcOff := m.from + remaining - k
-			dstOff := m.to + remaining - k
+			srcOff := m.From + remaining - k
+			dstOff := m.To + remaining - k
 			if err := d.f.ReadRaw(buf[:k], srcOff); err != nil {
 				return err
 			}
@@ -616,32 +412,24 @@ func (d *Dataset) relocate(old *cdf.Header) error {
 		}
 		return nil
 	}
-	if overlapping {
-		// Order matters: the root performs all moves back to front.
-		if d.comm.Rank() == 0 {
-			for _, m := range moves {
-				if m.from != m.to && m.n > 0 {
-					if err := doMove(m); err != nil {
-						return err
-					}
-				}
-			}
+	var err error
+	for i, m := range moves {
+		if m.From == m.To || m.N == 0 {
+			continue
 		}
-	} else {
-		// Independent moves: round-robin over ranks, truly parallel.
-		for i, m := range moves {
-			if m.from == m.to || m.n == 0 {
-				continue
-			}
-			if i%d.comm.Size() == d.comm.Rank() {
-				if err := doMove(m); err != nil {
-					return err
-				}
+		// Overlapping moves: order matters, the root performs them all
+		// back to front. Independent moves: round-robin over ranks.
+		owner := 0
+		if !overlapping {
+			owner = i % d.comm.Size()
+		}
+		if owner == d.comm.Rank() {
+			if err = doMove(m); err != nil {
+				break
 			}
 		}
 	}
-	d.comm.Barrier()
-	return nil
+	return d.comm.AgreeError(err)
 }
 
 // fillVars prefills all variables with fill values (root-driven; PnetCDF
@@ -651,9 +439,9 @@ func (d *Dataset) fillVars() error {
 	if d.comm.Rank() != 0 {
 		return nil
 	}
-	for i := range d.hdr.Vars {
-		v := &d.hdr.Vars[i]
-		if d.hdr.IsRecordVar(v) {
+	for i := range d.Hdr.Vars {
+		v := &d.Hdr.Vars[i]
+		if d.Hdr.IsRecordVar(v) {
 			continue
 		}
 		n := v.VSize
@@ -677,7 +465,7 @@ func (d *Dataset) fillVars() error {
 
 // BeginIndepData enters independent data mode (ncmpi_begin_indep_data).
 func (d *Dataset) BeginIndepData() error {
-	if err := d.checkData(); err != nil {
+	if err := d.CheckData(); err != nil {
 		return err
 	}
 	if d.indep {
@@ -691,7 +479,7 @@ func (d *Dataset) BeginIndepData() error {
 // EndIndepData returns to collective data mode, reconciling any record
 // growth performed independently.
 func (d *Dataset) EndIndepData() error {
-	if err := d.checkData(); err != nil {
+	if err := d.CheckData(); err != nil {
 		return err
 	}
 	if !d.indep {
@@ -703,8 +491,8 @@ func (d *Dataset) EndIndepData() error {
 
 // syncNumRecs agrees on NumRecs across ranks (max) and persists it.
 func (d *Dataset) syncNumRecs() error {
-	agreed := d.comm.AllreduceI64([]int64{d.hdr.NumRecs}, mpi.OpMax)[0]
-	d.hdr.NumRecs = agreed
+	agreed := d.comm.AllreduceI64([]int64{d.Hdr.NumRecs}, mpi.OpMax)[0]
+	d.Hdr.NumRecs = agreed
 	d.numrecsDirty = false
 	d.st.Add(iostat.NCNumRecsSyncs, 1)
 	return d.writeNumRecs()
@@ -718,16 +506,16 @@ func (d *Dataset) syncNumRecs() error {
 // size on journal recovery.
 func (d *Dataset) writeNumRecs() error {
 	var werr error
-	if !d.ro && d.comm.Rank() == 0 && d.hdr.NumRecs > d.persistedNumRecs {
-		full := d.hdr.Encode()
+	if !d.ReadOnly && d.comm.Rank() == 0 && d.Hdr.NumRecs > d.persistedNumRecs {
+		full := d.Hdr.Encode()
 		// numrecs sits right after the 4-byte magic; 4 or 8 bytes by version.
 		n := 8
-		if d.hdr.Version != 5 {
+		if d.Hdr.Version != 5 {
 			n = 4
 		}
 		werr = d.f.WriteRaw(full[4:4+n], 4)
 		if werr == nil {
-			d.persistedNumRecs = d.hdr.NumRecs
+			d.persistedNumRecs = d.Hdr.NumRecs
 		}
 		d.st.Add(iostat.NCHeaderWriteBytes, int64(n))
 	}
@@ -736,7 +524,7 @@ func (d *Dataset) writeNumRecs() error {
 
 // Sync flushes everything collectively (ncmpi_sync).
 func (d *Dataset) Sync() error {
-	if err := d.checkData(); err != nil {
+	if err := d.CheckData(); err != nil {
 		return err
 	}
 	if err := d.syncNumRecs(); err != nil {
@@ -751,20 +539,20 @@ func (d *Dataset) Sync() error {
 // marked closed regardless, so a second Close is an idempotent no-op
 // rather than a second flush attempt.
 func (d *Dataset) Close() error {
-	if d.closed {
+	if d.Closed {
 		return nil
 	}
 	if len(d.pending) > 0 {
 		return errors.New("pnetcdf: nonblocking requests pending at close; call WaitAll")
 	}
 	var errs []error
-	if d.define {
+	if d.InDefine {
 		errs = append(errs, d.EndDef())
 	}
-	if !d.ro {
+	if !d.ReadOnly {
 		errs = append(errs, d.syncNumRecs())
 	}
 	errs = append(errs, d.f.Close())
-	d.closed = true
+	d.Closed = true
 	return errors.Join(errs...)
 }

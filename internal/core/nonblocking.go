@@ -41,17 +41,17 @@ type pendingOp struct {
 // buffered immediately, so the caller may reuse the slice. Returns a request
 // index (diagnostic only; WaitAll completes all requests).
 func (d *Dataset) IPutVara(varid int, start, count []int64, data any) (int, error) {
-	if err := d.checkData(); err != nil {
+	if err := d.CheckData(); err != nil {
 		return -1, err
 	}
-	if d.ro {
+	if d.ReadOnly {
 		return -1, nctype.ErrPerm
 	}
-	v, err := d.varByID(varid)
+	v, err := d.VarByID(varid)
 	if err != nil {
 		return -1, err
 	}
-	req, err := access.Validate(d.hdr, v, start, count, nil, true)
+	req, err := access.Validate(d.Hdr, v, start, count, nil, true)
 	if err != nil {
 		return -1, err
 	}
@@ -75,14 +75,14 @@ func (d *Dataset) IPutVara(varid int, start, count []int64, data any) (int, erro
 // IGetVara queues a nonblocking subarray read into data, which must remain
 // valid until WaitAll.
 func (d *Dataset) IGetVara(varid int, start, count []int64, data any) (int, error) {
-	if err := d.checkData(); err != nil {
+	if err := d.CheckData(); err != nil {
 		return -1, err
 	}
-	v, err := d.varByID(varid)
+	v, err := d.VarByID(varid)
 	if err != nil {
 		return -1, err
 	}
-	req, err := access.Validate(d.hdr, v, start, count, nil, false)
+	req, err := access.Validate(d.Hdr, v, start, count, nil, false)
 	if err != nil {
 		return -1, err
 	}
@@ -123,7 +123,7 @@ func (d *Dataset) PendingRequests() int { return len(d.pending) }
 // operation — the deferred form of the blocking path's "write wrapped
 // values, report NC_ERANGE" contract.
 func (d *Dataset) WaitAll() error {
-	if err := d.checkData(); err != nil {
+	if err := d.CheckData(); err != nil {
 		return err
 	}
 	if d.indep {
@@ -158,8 +158,8 @@ func (d *Dataset) waitAll() error {
 		anyWrites = 1
 	}
 	agreed := d.comm.AllreduceI64([]int64{last, anyWrites}, mpi.OpMax)
-	if last = agreed[0]; last >= d.hdr.NumRecs {
-		d.hdr.NumRecs = last + 1
+	if last = agreed[0]; last >= d.Hdr.NumRecs {
+		d.Hdr.NumRecs = last + 1
 		if err := d.writeNumRecs(); err != nil {
 			return err
 		}
@@ -168,7 +168,7 @@ func (d *Dataset) waitAll() error {
 	// read-only batch never issues a collective write (which a NoWrite
 	// file would refuse).
 	if agreed[1] != 0 {
-		wview, wbuf, _, err := fuse(d.hdr, writes)
+		wview, wbuf, _, err := fuse(d.Hdr, writes)
 		if err != nil {
 			return err
 		}
@@ -202,7 +202,7 @@ func (d *Dataset) waitAll() error {
 	}
 	reads = uncached
 	// Fused read.
-	rview, rbuf, windows, err := fuse(d.hdr, reads)
+	rview, rbuf, windows, err := fuse(d.Hdr, reads)
 	if err != nil {
 		return err
 	}

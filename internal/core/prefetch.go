@@ -39,12 +39,12 @@ func (d *Dataset) prefetch(info *mpi.Info) error {
 	d.cache = map[int][]byte{}
 	for _, name := range strings.Split(spec, ",") {
 		name = strings.TrimSpace(name)
-		varid := d.hdr.FindVar(name)
+		varid := d.Hdr.FindVar(name)
 		if varid < 0 {
 			continue // advisory: unknown names are ignored
 		}
-		v := &d.hdr.Vars[varid]
-		if d.hdr.IsRecordVar(v) {
+		v := &d.Hdr.Vars[varid]
+		if d.Hdr.IsRecordVar(v) {
 			continue // record variables grow; not cached
 		}
 		var img []byte
@@ -68,8 +68,8 @@ func (d *Dataset) cachedRead(varid int, req access.Request, ext []byte) bool {
 	if !ok {
 		return false
 	}
-	v := &d.hdr.Vars[varid]
-	segs := access.FileSegments(d.hdr, v, req)
+	v := &d.Hdr.Vars[varid]
+	segs := access.FileSegments(d.Hdr, v, req)
 	pos := int64(0)
 	for _, s := range segs {
 		rel := s.Off - v.Begin

@@ -2,7 +2,6 @@ package netcdf
 
 import (
 	"errors"
-	"fmt"
 
 	"pnetcdf/internal/cdf"
 	"pnetcdf/internal/nctype"
@@ -10,7 +9,7 @@ import (
 
 // GlobalID is the variable ID standing for "the dataset itself" in attribute
 // calls, like NC_GLOBAL.
-const GlobalID = -1
+const GlobalID = cdf.GlobalID
 
 // FillMode selects whether defined variables are pre-filled with netCDF fill
 // values.
@@ -22,23 +21,19 @@ const (
 	Fill                   // pre-fill at EndDef and on record growth
 )
 
-// Dataset is an open netCDF dataset accessed through a single process.
+// Dataset is an open netCDF dataset accessed through a single process. The
+// embedded schema carries the define-mode and inquiry calls; a data-mode
+// header change is committed through CommitHeader.
 type Dataset struct {
-	store  Store
-	cache  *pageCache
-	hdr    *cdf.Header
-	define bool // in define mode
-	ro     bool
-	closed bool
-	fill   FillMode
+	cdf.Schema
+	store Store
+	cache *pageCache
+	fill  FillMode
 
 	// hAlign reserves header space so later Redef calls can grow the header
 	// without moving data (also a PnetCDF hint).
 	hAlign int64
 
-	// oldLayout snapshots the pre-Redef header so EndDef can relocate data
-	// if definitions grew the header or added fixed variables.
-	oldLayout *cdf.Header
 	// prevVars names the variables that existed before the current define
 	// mode (they are not re-filled on EndDef).
 	prevVars map[string]bool
@@ -71,12 +66,8 @@ func Create(store Store, mode int, opts ...Option) (*Dataset, error) {
 	if err := store.Truncate(0); err != nil {
 		return nil, err
 	}
-	d := &Dataset{
-		store:  store,
-		hdr:    &cdf.Header{Version: version},
-		define: true,
-		hAlign: 1,
-	}
+	d := &Dataset{store: store, hAlign: 1}
+	d.Schema = cdf.NewSchema(&cdf.Header{Version: version}, true, false, d)
 	for _, o := range opts {
 		o(d)
 	}
@@ -129,19 +120,15 @@ func Open(store Store, mode int, opts ...Option) (*Dataset, error) {
 			hdr.NumRecs = max
 		}
 	}
-	d := &Dataset{
-		store:  store,
-		hdr:    hdr,
-		ro:     mode&nctype.Write == 0,
-		hAlign: 1,
-	}
+	d := &Dataset{store: store, hAlign: 1}
+	d.Schema = cdf.NewSchema(hdr, false, mode&nctype.Write == 0, d)
 	for _, o := range opts {
 		o(d)
 	}
 	if d.cache == nil {
 		d.cache = newPageCache(store, 32<<10, 128)
 	}
-	if recovered && !d.ro {
+	if recovered && !d.ReadOnly {
 		// Repair the torn in-place header from the journaled image.
 		if err := d.writeHeader(); err != nil {
 			return nil, err
@@ -174,207 +161,24 @@ func recoverStoreJournal(store Store, size int64) []byte {
 	return img
 }
 
-// Header exposes the in-memory header (read-only use: inquiry, dumps).
-func (d *Dataset) Header() *cdf.Header { return d.hdr }
-
-func (d *Dataset) checkDefine() error {
-	switch {
-	case d.closed:
-		return nctype.ErrClosed
-	case d.ro:
-		return nctype.ErrPerm
-	case !d.define:
-		return nctype.ErrNotInDefine
-	}
-	return nil
-}
-
-func (d *Dataset) checkData() error {
-	switch {
-	case d.closed:
-		return nctype.ErrClosed
-	case d.define:
-		return nctype.ErrInDefine
-	}
-	return nil
-}
-
-// DefDim defines a dimension; size 0 declares the unlimited dimension.
-func (d *Dataset) DefDim(name string, size int64) (int, error) {
-	if err := d.checkDefine(); err != nil {
-		return -1, err
-	}
-	if err := cdf.CheckName(name); err != nil {
-		return -1, err
-	}
-	if d.hdr.FindDim(name) >= 0 {
-		return -1, fmt.Errorf("%w: dimension %q", nctype.ErrNameInUse, name)
-	}
-	if size < 0 {
-		return -1, nctype.ErrBadDim
-	}
-	if size == 0 && d.hdr.UnlimitedDimID() >= 0 {
-		return -1, nctype.ErrMultiUnlimited
-	}
-	d.hdr.Dims = append(d.hdr.Dims, cdf.Dim{Name: name, Len: size})
-	return len(d.hdr.Dims) - 1, nil
-}
-
-// DefVar defines a variable over previously defined dimensions.
-func (d *Dataset) DefVar(name string, t nctype.Type, dimids []int) (int, error) {
-	if err := d.checkDefine(); err != nil {
-		return -1, err
-	}
-	if err := cdf.CheckName(name); err != nil {
-		return -1, err
-	}
-	if d.hdr.FindVar(name) >= 0 {
-		return -1, fmt.Errorf("%w: variable %q", nctype.ErrNameInUse, name)
-	}
-	if !t.Valid(d.hdr.Version) {
-		return -1, nctype.ErrBadType
-	}
-	if len(dimids) > nctype.MaxDims {
-		return -1, nctype.ErrMaxDims
-	}
-	for pos, id := range dimids {
-		if id < 0 || id >= len(d.hdr.Dims) {
-			return -1, nctype.ErrBadDim
-		}
-		if d.hdr.Dims[id].IsUnlimited() && pos != 0 {
-			return -1, nctype.ErrUnlimPos
-		}
-	}
-	d.hdr.Vars = append(d.hdr.Vars, cdf.Var{
-		Name: name, Type: t, DimIDs: append([]int(nil), dimids...),
-	})
-	return len(d.hdr.Vars) - 1, nil
-}
-
-// attrsOf returns the attribute list for varid (GlobalID for global
-// attributes).
-func (d *Dataset) attrsOf(varid int) (*[]cdf.Attr, error) {
-	if varid == GlobalID {
-		return &d.hdr.GAttrs, nil
-	}
-	if varid < 0 || varid >= len(d.hdr.Vars) {
-		return nil, nctype.ErrNotVar
-	}
-	return &d.hdr.Vars[varid].Attrs, nil
-}
-
-// PutAttr sets an attribute. Unlike most definitions this is also legal in
-// data mode if the new value is not larger than the old (classic rule); for
-// simplicity we allow it only in define mode, except for overwrites of equal
-// or smaller size.
-func (d *Dataset) PutAttr(varid int, name string, t nctype.Type, value any) error {
-	if d.closed {
-		return nctype.ErrClosed
-	}
-	if d.ro {
-		return nctype.ErrPerm
-	}
-	attrs, err := d.attrsOf(varid)
-	if err != nil {
-		return err
-	}
-	if err := cdf.CheckName(name); err != nil {
-		return err
-	}
-	if !t.Valid(d.hdr.Version) {
-		return nctype.ErrBadType
-	}
-	a, err := cdf.MakeAttr(name, t, value)
-	if err != nil {
-		return err
-	}
-	if i := cdf.FindAttr(*attrs, name); i >= 0 {
-		if !d.define && len(a.Values) > len((*attrs)[i].Values) {
-			return nctype.ErrNotInDefine
-		}
-		(*attrs)[i] = a
-		if !d.define {
-			return d.writeHeader()
-		}
-		return nil
-	}
-	if !d.define {
-		return nctype.ErrNotInDefine
-	}
-	if len(*attrs) >= nctype.MaxAttrs {
-		return nctype.ErrInvalidArg
-	}
-	*attrs = append(*attrs, a)
-	return nil
-}
-
-// GetAttr returns an attribute's type and decoded value ([]byte for Char,
-// typed slices otherwise).
-func (d *Dataset) GetAttr(varid int, name string) (nctype.Type, any, error) {
-	if d.closed {
-		return 0, nil, nctype.ErrClosed
-	}
-	attrs, err := d.attrsOf(varid)
-	if err != nil {
-		return 0, nil, err
-	}
-	i := cdf.FindAttr(*attrs, name)
-	if i < 0 {
-		return 0, nil, fmt.Errorf("%w: %q", nctype.ErrNotAtt, name)
-	}
-	a := (*attrs)[i]
-	val, err := cdf.DecodeAttrValue(a)
-	return a.Type, val, err
-}
-
-// DelAttr removes an attribute (define mode only).
-func (d *Dataset) DelAttr(varid int, name string) error {
-	if err := d.checkDefine(); err != nil {
-		return err
-	}
-	attrs, err := d.attrsOf(varid)
-	if err != nil {
-		return err
-	}
-	i := cdf.FindAttr(*attrs, name)
-	if i < 0 {
-		return fmt.Errorf("%w: %q", nctype.ErrNotAtt, name)
-	}
-	*attrs = append((*attrs)[:i], (*attrs)[i+1:]...)
-	return nil
-}
-
-// AttrNames lists an object's attribute names in definition order.
-func (d *Dataset) AttrNames(varid int) ([]string, error) {
-	attrs, err := d.attrsOf(varid)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, len(*attrs))
-	for i, a := range *attrs {
-		names[i] = a.Name
-	}
-	return names, nil
-}
-
 // EndDef leaves define mode: computes the file layout, writes the header,
 // and (in Fill mode) pre-fills variables.
 func (d *Dataset) EndDef() error {
-	if err := d.checkDefine(); err != nil {
+	if err := d.CheckDefine(); err != nil {
 		return err
 	}
-	if err := d.hdr.Validate(); err != nil {
+	if err := d.Hdr.Validate(); err != nil {
 		return err
 	}
-	if err := d.hdr.ComputeLayout(d.hAlign); err != nil {
+	if err := d.Hdr.ComputeLayout(d.hAlign); err != nil {
 		return err
 	}
-	d.define = false
-	if d.oldLayout != nil {
-		if err := d.relocate(d.oldLayout); err != nil {
+	d.InDefine = false
+	if d.OldLayout != nil {
+		if err := d.relocate(d.OldLayout); err != nil {
 			return err
 		}
-		d.oldLayout = nil
+		d.OldLayout = nil
 	}
 	if err := d.writeHeader(); err != nil {
 		return err
@@ -389,51 +193,18 @@ func (d *Dataset) EndDef() error {
 }
 
 // relocate moves existing variable data from its pre-Redef offsets to the
-// new layout. Variables are processed in descending new offset so forward
-// moves never clobber unmoved data (the header only ever grows, so data only
-// moves toward higher offsets).
+// new layout, highest destination first, each move copied back to front.
 func (d *Dataset) relocate(old *cdf.Header) error {
-	type move struct {
-		from, to, n int64
-	}
-	var moves []move
-	for i := range d.hdr.Vars {
-		nv := &d.hdr.Vars[i]
-		oi := old.FindVar(nv.Name)
-		if oi < 0 {
-			continue // new variable, no data yet
-		}
-		ov := &old.Vars[oi]
-		if d.hdr.IsRecordVar(nv) {
-			// Record data: move each existing record slot.
-			for rec := old.NumRecs - 1; rec >= 0; rec-- {
-				moves = append(moves, move{
-					from: old.RecordOffset(ov, rec),
-					to:   d.hdr.RecordOffset(nv, rec),
-					n:    ov.VSize,
-				})
-			}
-			continue
-		}
-		moves = append(moves, move{from: ov.Begin, to: nv.Begin, n: ov.VSize})
-	}
-	// Highest destination first.
-	for i := 1; i < len(moves); i++ {
-		for j := i; j > 0 && moves[j-1].to < moves[j].to; j-- {
-			moves[j-1], moves[j] = moves[j], moves[j-1]
-		}
-	}
 	buf := make([]byte, 1<<20)
-	for _, m := range moves {
-		if m.from == m.to || m.n == 0 {
+	for _, m := range d.RelocationMoves(old) {
+		if m.From == m.To || m.N == 0 {
 			continue
 		}
-		// Copy back to front within one move (destinations are higher).
-		remaining := m.n
+		remaining := m.N
 		for remaining > 0 {
 			k := min64(remaining, int64(len(buf)))
-			srcOff := m.from + remaining - k
-			dstOff := m.to + remaining - k
+			srcOff := m.From + remaining - k
+			dstOff := m.To + remaining - k
 			if err := d.cache.ReadAt(buf[:k], srcOff); err != nil {
 				return err
 			}
@@ -450,25 +221,20 @@ func (d *Dataset) relocate(old *cdf.Header) error {
 // past its reserved space, EndDef moves the data (an expensive operation the
 // paper calls out as a netCDF limitation).
 func (d *Dataset) Redef() error {
-	if d.closed {
-		return nctype.ErrClosed
+	if err := d.Schema.Redef(); err != nil {
+		return err
 	}
-	if d.ro {
-		return nctype.ErrPerm
-	}
-	if d.define {
-		return nctype.ErrInDefine
-	}
-	// Capture the old layout so EndDef can relocate data if needed, and the
-	// existing variable set so fill mode only fills new variables.
-	d.oldLayout = d.hdr.Clone()
+	// Capture the existing variable set so fill mode only fills new
+	// variables.
 	d.prevVars = map[string]bool{}
-	for i := range d.hdr.Vars {
-		d.prevVars[d.hdr.Vars[i].Name] = true
+	for i := range d.Hdr.Vars {
+		d.prevVars[d.Hdr.Vars[i].Name] = true
 	}
-	d.define = true
 	return nil
 }
+
+// CommitHeader implements cdf.HeaderCommitter.
+func (d *Dataset) CommitHeader() error { return d.writeHeader() }
 
 // writeHeader publishes the header crash-consistently: journal the new
 // image past the declared data end, invalidate the in-place magic, write
@@ -478,13 +244,13 @@ func (d *Dataset) Redef() error {
 // first. A crash at any byte leaves the old header intact or a journal to
 // recover the new one from (see internal/cdf/commit.go).
 func (d *Dataset) writeHeader() error {
-	blob := d.hdr.Encode()
+	blob := d.Hdr.Encode()
 	size, err := d.store.Size()
 	if err != nil {
 		return err
 	}
 	jOff := size
-	if end := d.hdr.FileSize(); jOff < end {
+	if end := d.Hdr.FileSize(); jOff < end {
 		jOff = end
 	}
 	if end := int64(len(blob)); jOff < end {
@@ -516,10 +282,10 @@ func (d *Dataset) writeHeader() error {
 
 // Sync flushes buffered data and the current record count to the store.
 func (d *Dataset) Sync() error {
-	if d.closed {
+	if d.Closed {
 		return nctype.ErrClosed
 	}
-	if !d.ro && !d.define {
+	if !d.ReadOnly && !d.InDefine {
 		if err := d.writeHeader(); err != nil {
 			return err
 		}
@@ -536,15 +302,15 @@ func (d *Dataset) Sync() error {
 // closed regardless, so a second Close is an idempotent no-op rather than
 // a second flush attempt.
 func (d *Dataset) Close() error {
-	if d.closed {
+	if d.Closed {
 		return nil
 	}
 	var errs []error
-	if d.define && !d.ro {
+	if d.InDefine && !d.ReadOnly {
 		errs = append(errs, d.EndDef())
 	}
 	errs = append(errs, d.Sync())
-	d.closed = true
+	d.Closed = true
 	errs = append(errs, d.store.Close())
 	return errors.Join(errs...)
 }
@@ -552,9 +318,9 @@ func (d *Dataset) Close() error {
 // Abort closes without saving pending define-mode changes (buffered data
 // is dropped, not flushed). Idempotent after Close or a prior Abort.
 func (d *Dataset) Abort() error {
-	if d.closed {
+	if d.Closed {
 		return nil
 	}
-	d.closed = true
+	d.Closed = true
 	return d.store.Close()
 }
