@@ -175,6 +175,7 @@ func Decode(buf []byte) (*Header, error) {
 	if ndims > nctype.MaxDims {
 		return nil, fmt.Errorf("%w: %d dimensions", nctype.ErrNotNC, ndims)
 	}
+	h.Dims = make([]Dim, 0, ndims)
 	for i := int64(0); i < ndims; i++ {
 		var d Dim
 		if d.Name, err = r.name(); err != nil {
@@ -197,6 +198,7 @@ func Decode(buf []byte) (*Header, error) {
 	if nvars > nctype.MaxVars {
 		return nil, fmt.Errorf("%w: %d variables", nctype.ErrNotNC, nvars)
 	}
+	h.Vars = make([]Var, 0, nvars)
 	for i := int64(0); i < nvars; i++ {
 		var v Var
 		if v.Name, err = r.name(); err != nil {

@@ -66,6 +66,17 @@ type Header struct {
 	Dims    []Dim
 	GAttrs  []Attr
 	Vars    []Var
+
+	// dimIndex and varIndex map each dimension and variable name to the ID
+	// of its first holder, so FindDim and FindVar are O(1) (Li/Latham,
+	// "Parallel Data Object Creation"). Validate fills them in its
+	// uniqueness pass; after that, names change only through Schema's
+	// DefDim, DefVar, RenameDim and RenameVar, which update them in place.
+	// An index whose size differs from its list's (a Clone, a header built
+	// as a literal, a failed Validate) is rebuilt on the next lookup; that
+	// lookup writes to the header, so goroutines sharing one header look
+	// names up concurrently only once it was Decoded or Validated.
+	dimIndex, varIndex map[string]int
 }
 
 // UnlimitedDimID returns the index of the record dimension, or -1.
@@ -101,22 +112,59 @@ func (h *Header) VarShape(v *Var) []int64 {
 
 // FindDim returns the ID of the dimension with the given name, or -1.
 func (h *Header) FindDim(name string) int {
-	for i, d := range h.Dims {
-		if d.Name == name {
-			return i
-		}
+	if id, ok := h.dimIDs()[name]; ok {
+		return id
 	}
 	return -1
 }
 
 // FindVar returns the ID of the variable with the given name, or -1.
 func (h *Header) FindVar(name string) int {
-	for i := range h.Vars {
-		if h.Vars[i].Name == name {
-			return i
-		}
+	if id, ok := h.varIDs()[name]; ok {
+		return id
 	}
 	return -1
+}
+
+// dimIDs returns the dimension name index, rebuilt first if out of step.
+func (h *Header) dimIDs() map[string]int {
+	if h.dimIndex == nil || len(h.dimIndex) != len(h.Dims) {
+		h.dimIndex = resetIndex(h.dimIndex, len(h.Dims))
+		for i := range h.Dims {
+			addName(h.dimIndex, h.Dims[i].Name, i)
+		}
+	}
+	return h.dimIndex
+}
+
+// varIDs returns the variable name index, rebuilt first if out of step.
+func (h *Header) varIDs() map[string]int {
+	if h.varIndex == nil || len(h.varIndex) != len(h.Vars) {
+		h.varIndex = resetIndex(h.varIndex, len(h.Vars))
+		for i := range h.Vars {
+			addName(h.varIndex, h.Vars[i].Name, i)
+		}
+	}
+	return h.varIndex
+}
+
+// resetIndex returns idx emptied, or a new index sized for n names.
+func resetIndex(idx map[string]int, n int) map[string]int {
+	if idx == nil {
+		return make(map[string]int, n)
+	}
+	clear(idx)
+	return idx
+}
+
+// addName records id as the holder of name unless the name is already
+// held, and reports whether it was free.
+func addName(idx map[string]int, name string, id int) bool {
+	if _, held := idx[name]; held {
+		return false
+	}
+	idx[name] = id
+	return true
 }
 
 // FindAttr returns the index of the named attribute in attrs, or -1.
@@ -154,7 +202,8 @@ func (h *Header) RecSize() int64 {
 }
 
 // Clone returns a deep copy of the header. The parallel library keeps one
-// clone per process and synchronizes them collectively.
+// clone per process and synchronizes them collectively. The copy's name
+// indexes are built on its first lookup.
 func (h *Header) Clone() *Header {
 	c := &Header{Version: h.Version, NumRecs: h.NumRecs}
 	c.Dims = append([]Dim(nil), h.Dims...)
@@ -232,21 +281,21 @@ func attrsEqual(a, b []Attr) bool {
 
 // Validate checks structural invariants: name validity and uniqueness, at
 // most one unlimited dimension used only in the leading position, valid
-// dimension IDs, and valid types for the format version.
+// dimension IDs, and valid types for the format version. Its uniqueness
+// pass rebuilds the header's name indexes.
 func (h *Header) Validate() error {
 	if h.Version != 1 && h.Version != 2 && h.Version != 5 {
 		return fmt.Errorf("%w: version %d", nctype.ErrVersion, h.Version)
 	}
-	seenDim := map[string]bool{}
+	h.dimIndex = resetIndex(h.dimIndex, len(h.Dims))
 	unlimited := 0
-	for _, d := range h.Dims {
+	for i, d := range h.Dims {
 		if err := CheckName(d.Name); err != nil {
 			return err
 		}
-		if seenDim[d.Name] {
+		if !addName(h.dimIndex, d.Name, i) {
 			return fmt.Errorf("%w: dimension %q", nctype.ErrNameInUse, d.Name)
 		}
-		seenDim[d.Name] = true
 		if d.Len < 0 {
 			return fmt.Errorf("%w: dimension %q length %d", nctype.ErrBadDim, d.Name, d.Len)
 		}
@@ -260,16 +309,15 @@ func (h *Header) Validate() error {
 	if err := validateAttrs(h.GAttrs, h.Version); err != nil {
 		return err
 	}
-	seenVar := map[string]bool{}
+	h.varIndex = resetIndex(h.varIndex, len(h.Vars))
 	for i := range h.Vars {
 		v := &h.Vars[i]
 		if err := CheckName(v.Name); err != nil {
 			return err
 		}
-		if seenVar[v.Name] {
+		if !addName(h.varIndex, v.Name, i) {
 			return fmt.Errorf("%w: variable %q", nctype.ErrNameInUse, v.Name)
 		}
-		seenVar[v.Name] = true
 		if !v.Type.Valid(h.Version) {
 			return fmt.Errorf("%w: variable %q type %v", nctype.ErrBadType, v.Name, v.Type)
 		}
@@ -291,16 +339,30 @@ func (h *Header) Validate() error {
 	return nil
 }
 
+// attrScanMax is the longest attribute list validateAttrs checks for
+// duplicate names by scanning; a longer one gets a map so the check stays
+// linear in the list's length.
+const attrScanMax = 16
+
 func validateAttrs(attrs []Attr, version int) error {
-	seen := map[string]bool{}
-	for _, a := range attrs {
+	var seen map[string]bool
+	if len(attrs) > attrScanMax {
+		seen = make(map[string]bool, len(attrs))
+	}
+	for i, a := range attrs {
 		if err := CheckName(a.Name); err != nil {
 			return err
 		}
-		if seen[a.Name] {
+		var dup bool
+		if seen == nil {
+			dup = FindAttr(attrs[:i], a.Name) >= 0
+		} else {
+			dup = seen[a.Name]
+			seen[a.Name] = true
+		}
+		if dup {
 			return fmt.Errorf("%w: attribute %q", nctype.ErrNameInUse, a.Name)
 		}
-		seen[a.Name] = true
 		if !a.Type.Valid(version) {
 			return fmt.Errorf("%w: attribute %q type %v", nctype.ErrBadType, a.Name, a.Type)
 		}

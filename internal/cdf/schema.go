@@ -124,7 +124,9 @@ func (s *Schema) DefDim(name string, size int64) (int, error) {
 		return -1, nctype.ErrMultiUnlimited
 	}
 	s.Hdr.Dims = append(s.Hdr.Dims, Dim{Name: name, Len: size})
-	return len(s.Hdr.Dims) - 1, nil
+	id := len(s.Hdr.Dims) - 1
+	s.Hdr.dimIndex[name] = id // the FindDim above built the index
+	return id, nil
 }
 
 // DefVar defines a variable over previously defined dimensions.
@@ -158,7 +160,9 @@ func (s *Schema) DefVar(name string, t nctype.Type, dimids []int) (int, error) {
 	s.Hdr.Vars = append(s.Hdr.Vars, Var{
 		Name: name, Type: t, DimIDs: append([]int(nil), dimids...),
 	})
-	return len(s.Hdr.Vars) - 1, nil
+	id := len(s.Hdr.Vars) - 1
+	s.Hdr.varIndex[name] = id // the FindVar above built the index
+	return id, nil
 }
 
 // attrsOf returns the attribute list for varid (GlobalID for global
@@ -282,9 +286,12 @@ func (s *Schema) RenameDim(dimid int, newName string) error {
 	if err := CheckName(newName); err != nil {
 		return err
 	}
-	if err := s.checkRename(s.Hdr.FindDim(newName), dimid, "dimension", s.Hdr.Dims[dimid].Name, newName); err != nil {
+	oldName := s.Hdr.Dims[dimid].Name
+	if err := s.checkRename(s.Hdr.FindDim(newName), dimid, "dimension", oldName, newName); err != nil {
 		return err
 	}
+	delete(s.Hdr.dimIndex, oldName) // the FindDim above built the index
+	s.Hdr.dimIndex[newName] = dimid
 	s.Hdr.Dims[dimid].Name = newName
 	return s.commitIfData()
 }
@@ -304,6 +311,8 @@ func (s *Schema) RenameVar(varid int, newName string) error {
 	if err := s.checkRename(s.Hdr.FindVar(newName), varid, "variable", v.Name, newName); err != nil {
 		return err
 	}
+	delete(s.Hdr.varIndex, v.Name) // the FindVar above built the index
+	s.Hdr.varIndex[newName] = varid
 	v.Name = newName
 	return s.commitIfData()
 }

@@ -23,6 +23,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"pnetcdf/internal/cdf"
 	"pnetcdf/internal/iostat"
@@ -378,20 +379,24 @@ func (d *Dataset) commitHeader() error {
 	return nil
 }
 
-// relocate moves data after a header-growing Redef. Non-overlapping moves
-// are divided among the processes ("moving the existing data to the
-// extended area is performed in parallel", paper §4.3); overlapping moves
-// fall back to the root walking back to front. The ranks agree on the
-// outcome, so a failed move is one error everywhere.
+// relocate moves data after a header-growing Redef. When every
+// destination lies past the end of every source, the moves are divided
+// among the processes ("moving the existing data to the extended area is
+// performed in parallel", paper §4.3). Otherwise one rank could overwrite
+// data another has yet to read, so the root performs them all, highest
+// destination first, each back to front. The ranks agree on the outcome,
+// so a failed move is one error everywhere.
 func (d *Dataset) relocate(old *cdf.Header) error {
 	moves := d.RelocationMoves(old)
-	overlapping := false
+	var srcEnd int64
+	dstStart := int64(math.MaxInt64)
 	for _, m := range moves {
-		if m.From != m.To && m.To < m.From+m.N {
-			overlapping = true
-			break
+		if m.From != m.To && m.N > 0 {
+			srcEnd = max(srcEnd, m.From+m.N)
+			dstStart = min(dstStart, m.To)
 		}
 	}
+	overlapping := dstStart < srcEnd
 	buf := make([]byte, 1<<20)
 	doMove := func(m cdf.Move) error {
 		remaining := m.N

@@ -4,7 +4,8 @@
 # concurrent sharded-lock PFS stress test under the race detector
 # (TestConcurrentShardedStress), and the nclint invariant suite
 # (internal/analysis, DESIGN.md §10/§14) over every package; any diagnostic
-# fails the gate. nclint runs in interprocedural mode (module call graph +
+# fails the gate. The benchmark module's own tests (perfbench/) run after
+# the root suite. nclint runs in interprocedural mode (module call graph +
 # summaries) and its wall time is recorded and budgeted at 30s. Toggles:
 #   LINT=0   skip the nclint pass (escape hatch while iterating).
 #   CB_PARTITION=0  skip the cb_partition=balanced re-run of the collective
@@ -51,6 +52,10 @@ if [ "${LINT:-1}" = "1" ]; then
     fi
 fi
 go test -race ./...
+# The benchmark is a module of its own (perfbench/go.mod), so the root
+# go test cannot see its tests: self-time invariants and the agreement of
+# BENCHMARK.json with the program's workload and metric tables.
+(cd perfbench && go test .)
 
 if [ "${CB_PARTITION:-1}" = "1" ]; then
     # Re-run the collective-path suites with balanced file domains as the
