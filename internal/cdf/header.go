@@ -339,30 +339,16 @@ func (h *Header) Validate() error {
 	return nil
 }
 
-// attrScanMax is the longest attribute list validateAttrs checks for
-// duplicate names by scanning; a longer one gets a map so the check stays
-// linear in the list's length.
-const attrScanMax = 16
-
 func validateAttrs(attrs []Attr, version int) error {
-	var seen map[string]bool
-	if len(attrs) > attrScanMax {
-		seen = make(map[string]bool, len(attrs))
-	}
-	for i, a := range attrs {
+	seen := map[string]bool{}
+	for _, a := range attrs {
 		if err := CheckName(a.Name); err != nil {
 			return err
 		}
-		var dup bool
-		if seen == nil {
-			dup = FindAttr(attrs[:i], a.Name) >= 0
-		} else {
-			dup = seen[a.Name]
-			seen[a.Name] = true
-		}
-		if dup {
+		if seen[a.Name] {
 			return fmt.Errorf("%w: attribute %q", nctype.ErrNameInUse, a.Name)
 		}
+		seen[a.Name] = true
 		if !a.Type.Valid(version) {
 			return fmt.Errorf("%w: attribute %q type %v", nctype.ErrBadType, a.Name, a.Type)
 		}

@@ -2,7 +2,6 @@ package cdf
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"pnetcdf/internal/nctype"
@@ -245,12 +244,6 @@ func TestValidateCatchesMistakes(t *testing.T) {
 		{"cdf2 type in cdf1", func(h *Header) { h.Vars[1].Type = nctype.UInt64 }},
 		{"negative dim", func(h *Header) { h.Dims[0].Len = -2 }},
 		{"dup attr", func(h *Header) { h.GAttrs = append(h.GAttrs, h.GAttrs[0]) }},
-		{"dup attr in a long list", func(h *Header) {
-			for i := 0; i <= attrScanMax; i++ {
-				h.Vars[1].Attrs = append(h.Vars[1].Attrs, Attr{Name: fmt.Sprintf("a%d", i), Type: nctype.Byte})
-			}
-			h.Vars[1].Attrs = append(h.Vars[1].Attrs, h.Vars[1].Attrs[3])
-		}},
 	}
 	for _, c := range cases {
 		if err := mk(c.mut); err == nil {
