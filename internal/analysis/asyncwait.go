@@ -477,7 +477,8 @@ func (a *awAnalysis) trackValue(id *ast.Ident, value ast.Expr, live awState) {
 }
 
 // deferStmt registers deferred discharges: defer op.Wait(), defer
-// waiting-fn(op), defer closure() or a deferred literal containing either.
+// waiting-fn(op), defer closure() or a deferred literal containing either
+// outside a recover() branch.
 func (a *awAnalysis) deferStmt(s *ast.DeferStmt) {
 	mark := func(call *ast.CallExpr) {
 		for _, obj := range a.waitTargets(call) {
@@ -493,6 +494,20 @@ func (a *awAnalysis) deferStmt(s *ast.DeferStmt) {
 	}
 	if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
 		ast.Inspect(fl.Body, func(n ast.Node) bool {
+			// `if rec := recover(); rec != nil { ... }` runs only when the
+			// function unwinds by panic: a Wait in its body drains that
+			// path, not the normal returns.
+			if is, ok := n.(*ast.IfStmt); ok && a.callsRecover(is) {
+				if is.Else != nil {
+					ast.Inspect(is.Else, func(m ast.Node) bool {
+						if call, ok := m.(*ast.CallExpr); ok {
+							mark(call)
+						}
+						return true
+					})
+				}
+				return false
+			}
 			if call, ok := n.(*ast.CallExpr); ok {
 				mark(call)
 			}
@@ -501,6 +516,28 @@ func (a *awAnalysis) deferStmt(s *ast.DeferStmt) {
 		return
 	}
 	mark(s.Call)
+}
+
+// callsRecover reports whether an if statement's init or condition calls
+// the recover builtin.
+func (a *awAnalysis) callsRecover(is *ast.IfStmt) bool {
+	found := false
+	for _, n := range []ast.Node{is.Init, is.Cond} {
+		if n == nil {
+			continue
+		}
+		ast.Inspect(n, func(m ast.Node) bool {
+			if call, ok := m.(*ast.CallExpr); ok {
+				if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+					if b, ok := a.pass.Pkg.Info.Uses[id].(*types.Builtin); ok && b.Name() == "recover" {
+						found = true
+					}
+				}
+			}
+			return !found
+		})
+	}
+	return found
 }
 
 // identObjsIn collects the objects of identifiers mentioned in an

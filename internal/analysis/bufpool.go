@@ -173,7 +173,7 @@ func checkBufFunc(pass *Pass, file *ast.File, body *ast.BlockStmt) {
 	}
 	// Pre-scan: local closures that put buffers (the release() pattern) —
 	// directly, or in interprocedural mode through a callee that Puts its
-	// parameter (the finish()/recycleRound pattern of the pipelined path).
+	// parameter (the finish()/recycleRound pattern of the round engine).
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {

@@ -128,6 +128,49 @@ func closurePattern(f *pfs.File, rounds int) error {
 	return finish()
 }
 
+// panicOnlyDrain: a deferred Wait under recover() runs only when the
+// function unwinds by panic, so the normal return still owes the Wait.
+func panicOnlyDrain(f *pfs.File) {
+	var pend pending
+	defer func() {
+		if rec := recover(); rec != nil {
+			if pend.op != nil {
+				pend.op.Wait()
+			}
+			panic(rec)
+		}
+	}()
+	pend.op = f.WriteVecAsync(0, nil, nil)
+} // want `AsyncOp pend reaches function end without Wait`
+
+// panicDrainAndFinish is fine: the round-engine shape — a recover() drain
+// for the panic path and a finish() drain for the normal one.
+func panicDrainAndFinish(f *pfs.File, rounds int) error {
+	var pend pending
+	defer func() {
+		if rec := recover(); rec != nil {
+			if pend.op != nil {
+				pend.op.Wait()
+			}
+			panic(rec)
+		}
+	}()
+	finish := func() error {
+		if pend.op != nil {
+			_, err := pend.op.Wait()
+			return err
+		}
+		return nil
+	}
+	for r := 0; r < rounds; r++ {
+		if err := finish(); err != nil {
+			return err
+		}
+		pend.op = f.WriteVecAsync(0, nil, nil)
+	}
+	return finish()
+}
+
 // loopCarried: the in-loop early return leaks the previous iteration's op;
 // the second loop pass (seeded with the loop-carried state) catches it.
 func loopCarried(f *pfs.File, rounds int, stop func(int) bool) error {

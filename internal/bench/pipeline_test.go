@@ -10,26 +10,21 @@ import (
 	"pnetcdf/internal/pfs"
 )
 
-// TestFlashPipelineAcceptance is the acceptance check for the pipelined
-// two-phase path: an 8-rank FLASH checkpoint with cb_pipeline=enable must
-// (a) write a file byte-identical to the serial loop — pipelining is a
-// scheduling change only — and (b) actually overlap: the pipelined run
-// reports nonzero io_pipelined_rounds and io_overlap_ns, the serial run
-// reports zero for both.
+// TestFlashPipelineAcceptance is the acceptance check for overlapped
+// two-phase rounds: an 8-rank FLASH checkpoint whose collectives run many
+// rounds (cb_buffer_size=65536, cb_nodes=2) must (a) write a file
+// byte-identical to the default single-round plan and to independent I/O
+// (romio_cb_write=disable) — overlapping rounds is a scheduling change only
+// — and (b) actually overlap: the multi-round run reports nonzero
+// io_pipelined_rounds and io_overlap_ns, the single-round run zero for both.
 func TestFlashPipelineAcceptance(t *testing.T) {
 	cfg := flash.Default8()
-	run := func(mode string) ([]byte, map[string]int64) {
+	run := func(name string, info *mpi.Info) ([]byte, map[string]int64) {
 		t.Helper()
 		fsys := pfs.New(pfs.DefaultConfig())
 		var counters map[string]int64
 		err := mpi.Run(8, mpi.DefaultNet(), func(c *mpi.Comm) error {
 			c.Proc().SetStats(iostat.New())
-			// A staging buffer smaller than the aggregator file domains
-			// gives each collective several rounds — the regime the
-			// pipeline exists for (one round has nothing to overlap with).
-			info := mpi.NewInfo().
-				Set("cb_pipeline", mode).
-				Set("cb_buffer_size", "65536")
 			if _, err := flash.WriteCheckpointPnetCDF(c, fsys, "f.nc", cfg, info); err != nil {
 				return err
 			}
@@ -39,34 +34,41 @@ func TestFlashPipelineAcceptance(t *testing.T) {
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("cb_pipeline=%s: %v", mode, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		pf, _, err := fsys.Open("f.nc", 0)
 		if err != nil {
-			t.Fatalf("cb_pipeline=%s: reopen: %v", mode, err)
+			t.Fatalf("%s: reopen: %v", name, err)
 		}
 		img := make([]byte, pf.Size())
 		if _, err := pf.ReadAt(0, img, 0); err != nil {
-			t.Fatalf("cb_pipeline=%s: raw read: %v", mode, err)
+			t.Fatalf("%s: raw read: %v", name, err)
 		}
 		return img, counters
 	}
 
-	serialImg, serialStats := run("disable")
-	pipedImg, pipedStats := run("enable")
+	singleImg, singleStats := run("single-round", mpi.NewInfo())
+	multiImg, multiStats := run("multi-round", mpi.NewInfo().
+		Set("cb_buffer_size", "65536").
+		Set("cb_nodes", "2"))
+	indepImg, _ := run("independent", mpi.NewInfo().Set("romio_cb_write", "disable"))
 
-	if !bytes.Equal(serialImg, pipedImg) {
-		t.Fatalf("pipelined checkpoint differs from serial: %d vs %d bytes",
-			len(pipedImg), len(serialImg))
+	if !bytes.Equal(singleImg, multiImg) {
+		t.Fatalf("multi-round checkpoint differs from single-round: %d vs %d bytes",
+			len(multiImg), len(singleImg))
 	}
-	if pipedStats["io_pipelined_rounds"] == 0 {
-		t.Fatal("pipelined run reports no io_pipelined_rounds — pipeline never engaged")
+	if !bytes.Equal(singleImg, indepImg) {
+		t.Fatalf("collective checkpoint differs from independent I/O: %d vs %d bytes",
+			len(singleImg), len(indepImg))
 	}
-	if pipedStats["io_overlap_ns"] == 0 {
-		t.Fatal("pipelined run reports no io_overlap_ns — nothing overlapped")
+	if multiStats["io_pipelined_rounds"] == 0 {
+		t.Fatal("multi-round run reports no io_pipelined_rounds — rounds never overlapped")
 	}
-	if serialStats["io_pipelined_rounds"] != 0 || serialStats["io_overlap_ns"] != 0 {
-		t.Fatalf("serial run reports pipeline activity: rounds=%d overlap=%d",
-			serialStats["io_pipelined_rounds"], serialStats["io_overlap_ns"])
+	if multiStats["io_overlap_ns"] == 0 {
+		t.Fatal("multi-round run reports no io_overlap_ns — nothing overlapped")
+	}
+	if singleStats["io_pipelined_rounds"] != 0 || singleStats["io_overlap_ns"] != 0 {
+		t.Fatalf("single-round run reports overlap: rounds=%d overlap=%d",
+			singleStats["io_pipelined_rounds"], singleStats["io_overlap_ns"])
 	}
 }

@@ -120,10 +120,11 @@ const (
 	// off between attempts.
 	IORetries
 	IOBackoffTimeNs
-	// IOPipelinedRounds counts two-phase rounds executed on the pipelined
-	// collective path (cb_pipeline); IOOverlapTimeNs is the virtual time
+	// IOPipelinedRounds counts the two-phase rounds of multi-round
+	// collectives, whose rounds overlap their neighbours' aggregator I/O
+	// (single-round calls add nothing); IOOverlapTimeNs is the virtual time
 	// aggregator I/O spent in flight while the rank was doing other work
-	// (the overlap the depth-2 pipeline buys — zero on the serial path).
+	// (zero for a single-round call).
 	IOPipelinedRounds
 	IOOverlapTimeNs
 	// IOCollAborts counts collective data-access calls that returned an

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"pnetcdf/internal/bufpool"
-	"pnetcdf/internal/fault"
 	"pnetcdf/internal/iostat"
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/pfs"
@@ -43,8 +42,8 @@ type reqSeg struct {
 // tags of a round derive directly from the round index r via roundTag —
 // there is no separately incremented counter to skew — sub 0 for the
 // request/payload exchange, sub 1 for the read-reply exchange. Distinct
-// per-round tags also let the pipelined path run round r's reply exchange
-// after round r+1's request exchange without cross-talk.
+// per-round tags also let readRounds run round r's reply exchange after
+// round r+1's request exchange without cross-talk.
 const (
 	collTagBase  = 1 << 20
 	collTagLimit = collTagBase << 1
@@ -69,15 +68,6 @@ func roundTag(r int64, sub int) int {
 // collective; agreeAbort only does per-rank accounting (no communication).
 func (f *File) fallbackIndependent(err error) error {
 	return f.agreeAbort(f.comm.AgreeError(err))
-}
-
-// usePipeline reports whether a planned collective should run the depth-2
-// pipelined round loop (pipeline.go). plan.rounds is agreed by every rank
-// and hints must match across the communicator (an MPI requirement), so all
-// ranks take the same branch. One round has nothing to overlap with; the
-// serial loop is strictly simpler there.
-func (f *File) usePipeline(plan collectivePlan) bool {
-	return f.hints.CBPipeline && plan.rounds > 1
 }
 
 // WriteAtAll collectively writes len(buf) view-data bytes at view offset
@@ -146,13 +136,7 @@ func (f *File) collWriteSegs(segs []pfs.Segment, buf []byte, vErr error, prog *f
 	// instead of a rescan of the whole segment list.
 	prefix := segPrefix(segs)
 	spans := plan.spans(segs)
-	var cerr error
-	if f.usePipeline(plan) {
-		cerr = f.writeRoundsPipelined(plan, segs, prefix, spans, buf, myAgg, prog)
-	} else {
-		cerr = f.writeRoundsSerial(plan, segs, prefix, spans, buf, myAgg, prog)
-	}
-	if cerr != nil {
+	if cerr := f.writeRounds(plan, segs, prefix, spans, buf, myAgg, prog); cerr != nil {
 		return f.agreeAbort(cerr)
 	}
 	f.st.Add(iostat.IOTwoPhaseRounds, plan.rounds)
@@ -163,7 +147,7 @@ func (f *File) collWriteSegs(segs []pfs.Segment, buf []byte, vErr error, prog *f
 
 // packWriteRound clips this rank's request to every aggregator's round-r
 // window and encodes the write messages into parts (phase 1 of the round).
-// Shared by the serial and pipelined loops; returns the reused clip scratch.
+// Returns the reused clip scratch.
 func (f *File) packWriteRound(plan collectivePlan, segs []pfs.Segment, prefix []int64,
 	spans []segSpan, buf []byte, r int64, parts [][]byte, scratch []reqSeg, sPack span.Active) []reqSeg {
 	clear(parts)
@@ -182,63 +166,6 @@ func (f *File) packWriteRound(plan collectivePlan, segs []pfs.Segment, prefix []
 		sPack.AddBytes(int64(len(msg)))
 	}
 	return scratch
-}
-
-// writeRoundsSerial is the classic two-phase round loop: pack → exchange →
-// aggregator write → error agreement, one round fully finished before the
-// next begins. It returns the agreed error (identical on every rank).
-func (f *File) writeRoundsSerial(plan collectivePlan, segs []pfs.Segment, prefix []int64,
-	spans []segSpan, buf []byte, myAgg int, prog *ftProgress) error {
-	parts := make([][]byte, f.comm.Size())
-	var scratch []reqSeg
-	var entries []writeEntry
-	kill := f.killHook(fault.KillMidExchange)
-	for r := int64(0); r < plan.rounds; r++ {
-		f.killPoint(fault.KillBeforePack)
-		sRound := f.sp.Begin(span.Round)
-		sRound.SetRound(int(r))
-		// Phase 1: each rank slices its request per aggregator window and
-		// ships segment lists plus payload (pooled message buffers).
-		sPack := f.sp.Begin(span.Pack)
-		scratch = f.packWriteRound(plan, segs, prefix, spans, buf, r, parts, scratch, sPack)
-		sPack.End()
-		sXchg := f.sp.Begin(span.Exchange)
-		msgs := sparseExchange(f.comm, parts, roundTag(r, 0), kill)
-		sXchg.End()
-		// Phase 2: aggregators issue large vectored writes whose iovec points
-		// straight into the received message payloads — no coalescing copy
-		// (transient errors retried under the file's retry policy).
-		var roundErr error
-		if myAgg >= 0 {
-			sAgg := f.sp.Begin(span.AggWrite)
-			entries = decodeWriteMsgs(msgs, entries[:0])
-			if len(entries) > 0 {
-				wsegs, iov := assembleWriteVec(entries)
-				var wn int64
-				for _, s := range wsegs {
-					wn += s.Len
-				}
-				sAgg.SetBytes(wn)
-				roundErr = f.doPF(func(t float64) (float64, error) {
-					return f.pf.WriteVec(t, wsegs, iov)
-				})
-			}
-			sAgg.End()
-		}
-		// The write is down; recycle this round's buffers. The self-delivered
-		// entry aliases parts[rank], so it is returned exactly once.
-		recycleRound(parts, msgs, f.comm.Rank())
-		// Collective error agreement: every rank learns whether any
-		// aggregator failed this round, so all ranks return the same error
-		// and nobody proceeds into the next round's exchange alone.
-		if err := f.comm.AgreeError(roundErr); err != nil {
-			sRound.End()
-			return err
-		}
-		prog.roundAgreed(r)
-		sRound.End()
-	}
-	return nil
 }
 
 // ReadAtAll collectively reads len(buf) view-data bytes at view offset off.
@@ -292,13 +219,7 @@ func (f *File) collReadSegs(segs []pfs.Segment, buf []byte, vErr error, prog *ft
 	// the per-aggregator segment spans.
 	prefix := segPrefix(segs)
 	spans := plan.spans(segs)
-	var cerr error
-	if f.usePipeline(plan) {
-		cerr = f.readRoundsPipelined(plan, segs, prefix, spans, buf, myAgg, prog)
-	} else {
-		cerr = f.readRoundsSerial(plan, segs, prefix, spans, buf, myAgg, prog)
-	}
-	if cerr != nil {
+	if cerr := f.readRounds(plan, segs, prefix, spans, buf, myAgg, prog); cerr != nil {
 		return f.agreeAbort(cerr)
 	}
 	f.st.Add(iostat.IOTwoPhaseRounds, plan.rounds)
@@ -311,9 +232,9 @@ func (f *File) collReadSegs(segs []pfs.Segment, buf []byte, vErr error, prog *ft
 // window, encodes the request messages into parts, and records the
 // per-aggregator request order in myReqs so replies can be scattered back
 // into the caller's buffer. reqBufs is the per-aggregator clip scratch,
-// owned by the caller (the pipelined loop keeps one per generation: round
-// r's requests must survive until round r's scatter, which the pipeline
-// runs after round r+1 has already packed).
+// owned by the caller (readRounds keeps one per generation: round r's
+// requests must survive until round r's scatter, which runs after round
+// r+1 has already packed).
 func (f *File) packReadRound(plan collectivePlan, segs []pfs.Segment, prefix []int64,
 	spans []segSpan, r int64, parts [][]byte, myReqs [][]reqSeg, reqBufs [][]reqSeg, sPack span.Active) {
 	clear(parts)
@@ -365,76 +286,6 @@ func scatterReplies(buf []byte, myReqs [][]reqSeg, back [][]byte) {
 			pos += rq.len
 		}
 	}
-}
-
-// readRoundsSerial is the classic two-phase read loop: request exchange →
-// aggregator read → agreement → reply exchange → scatter, one round at a
-// time. It returns the agreed error (identical on every rank).
-func (f *File) readRoundsSerial(plan collectivePlan, segs []pfs.Segment, prefix []int64,
-	spans []segSpan, buf []byte, myAgg int, prog *ftProgress) error {
-	parts := make([][]byte, f.comm.Size())
-	replies := make([][]byte, f.comm.Size())
-	myReqs := make([][]reqSeg, f.comm.Size()) // agg rank -> requests, in order
-	reqBufs := make([][]reqSeg, plan.naggs)
-	kill := f.killHook(fault.KillMidExchange)
-	for r := int64(0); r < plan.rounds; r++ {
-		f.killPoint(fault.KillBeforePack)
-		sRound := f.sp.Begin(span.Round)
-		sRound.SetRound(int(r))
-		// Phase 1: ship request segment lists to aggregators; remember the
-		// order so replies can be scattered back into buf.
-		sPack := f.sp.Begin(span.Pack)
-		f.packReadRound(plan, segs, prefix, spans, r, parts, myReqs, reqBufs, sPack)
-		sPack.End()
-		sXchg := f.sp.Begin(span.Exchange)
-		msgs := sparseExchange(f.comm, parts, roundTag(r, 0), kill)
-		sXchg.End()
-		// Phase 2: aggregators read merged coverage and reply per source.
-		clear(replies)
-		var roundErr error
-		var cov *coverage
-		if myAgg >= 0 {
-			sAgg := f.sp.Begin(span.AggRead)
-			reqsBySrc := decodeReadMsgs(msgs)
-			if len(reqsBySrc) > 0 {
-				cov = newCoverage(reqsBySrc)
-				sAgg.SetBytes(int64(len(cov.data)))
-				roundErr = f.doPF(func(t float64) (float64, error) {
-					return f.pf.ReadV(t, cov.segs, cov.data)
-				})
-				if roundErr == nil {
-					f.buildReplies(cov, reqsBySrc, replies)
-				}
-			}
-			sAgg.End()
-		}
-		if cov != nil {
-			bufpool.Put(cov.data)
-		}
-		recycleRound(parts, msgs, f.comm.Rank())
-		// Collective error agreement BEFORE the reply exchange: a failed
-		// aggregator has no data to send back, so all ranks must learn of
-		// the failure here or the reply exchange would hang.
-		if err := f.comm.AgreeError(roundErr); err != nil {
-			// A peer failed after this aggregator built its replies: the
-			// reply exchange never runs, so the reply buffers must go back
-			// to the pool here (leak found by nclint's bufpool checker).
-			recycleRound(replies, nil, f.comm.Rank())
-			sRound.End()
-			return err
-		}
-		sReply := f.sp.Begin(span.ReplyXchg)
-		back := sparseExchange(f.comm, replies, roundTag(r, 1), nil)
-		sReply.End()
-		// Scatter replies into buf.
-		sScatter := f.sp.Begin(span.Scatter)
-		scatterReplies(buf, myReqs, back)
-		sScatter.End()
-		recycleRound(replies, back, f.comm.Rank())
-		prog.roundAgreed(r)
-		sRound.End()
-	}
-	return nil
 }
 
 // collectivePlan holds the agreed two-phase geometry. Boundaries are an
@@ -647,7 +498,7 @@ func intersectRange(segs []pfs.Segment, prefix []int64, span segSpan, lo, hi int
 // locally encoded message in parts, and every received blob in msgs except
 // the self-delivered one — sparseExchange delivers to self by reference, so
 // msgs[self] aliases parts[self] and must be returned exactly once. The
-// slots are nilled by PutAll, so a generation slice the pipelined path
+// slots are nilled by PutAll, so a generation slice the round engine
 // keeps across rounds cannot alias pooled memory after release.
 func recycleRound(parts, msgs [][]byte, self int) {
 	if self >= 0 && self < len(msgs) {

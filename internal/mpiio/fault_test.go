@@ -3,6 +3,8 @@ package mpiio
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/mpitype"
 	"pnetcdf/internal/pfs"
+	"pnetcdf/internal/span"
 )
 
 // TestIndependentIORetriesTransients: under a transient fault rate, every
@@ -145,11 +148,12 @@ func TestCollectiveReadErrorAgreement(t *testing.T) {
 // boundary, and leave the handle in a clean state — a follow-up collective
 // on the same file must succeed and round-trip.
 func TestPipelinedWriteCrashDrainsAndAgrees(t *testing.T) {
+	defer checkGoroutines(t)()
 	fsys := testFS()
 	in := fault.New(fault.Config{Seed: 13})
 	fsys.SetFault(in)
 	const n = 4
-	info := mpi.NewInfo().Set("cb_buffer_size", "65536").Set("cb_nodes", "2").Set("cb_pipeline", "enable")
+	info := mpi.NewInfo().Set("cb_buffer_size", "65536").Set("cb_nodes", "2")
 	errs := make([]error, n)
 	aborts := make([]int64, n)
 	overlap := make([]int64, n)
@@ -209,7 +213,7 @@ func TestPipelinedWriteCrashDrainsAndAgrees(t *testing.T) {
 // multi-round pipelined run under a high transient rate must still produce
 // a byte-identical image to the clean run, with the retries accounted.
 func TestPipelinedTransientFaultsBitIdentical(t *testing.T) {
-	info := mpi.NewInfo().Set("cb_buffer_size", "4096").Set("cb_nodes", "2").Set("cb_pipeline", "enable")
+	info := mpi.NewInfo().Set("cb_buffer_size", "4096").Set("cb_nodes", "2")
 	const per = 64 << 10
 	write := func(fsys *pfs.FS) ([]byte, int64) {
 		t.Helper()
@@ -331,5 +335,84 @@ func TestFaultedRunBitIdenticalToCleanRun(t *testing.T) {
 	}
 	if !bytes.Equal(clean, injected) {
 		t.Fatal("faulted run produced different bytes than clean run")
+	}
+}
+
+// TestAsyncRetryBudgetMatchesSync: a transient failure of an overlapped
+// aggregator write continues the retry schedule its async attempt started,
+// so it gets exactly the budget, backoff waits and completion clock of the
+// same write issued synchronously. Every write fails here: the collective's
+// first round (issued async, two ranks, one aggregator, four 4 KiB rounds)
+// and an independent WriteAt of the same 4 KiB must report the same
+// IORetries, backoff, error and [issue, completion] interval.
+func TestAsyncRetryBudgetMatchesSync(t *testing.T) {
+	const chunk = 4096
+	failing := func() *pfs.FS {
+		fsys := testFS()
+		fsys.SetFault(fault.New(fault.Config{Seed: 5, WriteErrRate: 1}))
+		return fsys
+	}
+	type outcome struct {
+		err              error
+		retries, backoff int64
+		dur              float64 // issue to completion of the failed write
+	}
+
+	var coll outcome
+	collFS := failing()
+	runWorld(t, 2, func(c *mpi.Comm) error {
+		st := iostat.New()
+		rec := span.NewRecorder(c.Rank(), c.Proc().Clock)
+		c.Proc().SetStats(st)
+		c.Proc().SetSpans(rec)
+		info := mpi.NewInfo().Set("cb_nodes", "1").Set("cb_buffer_size", fmt.Sprint(chunk))
+		f, err := Open(c, collFS, "budget", ModeRdWr|ModeCreate, info)
+		if err != nil {
+			return err
+		}
+		if err := f.SetView(int64(c.Rank())*2*chunk, mpitype.Contig(2*chunk)); err != nil {
+			return err
+		}
+		werr := f.WriteAtAll(0, make([]byte, 2*chunk))
+		if c.Rank() == 0 {
+			coll = outcome{err: werr, retries: st.Get(iostat.IORetries), backoff: st.Get(iostat.IOBackoffTimeNs)}
+			for _, s := range rec.Spans() {
+				if s.Phase == span.AggWrite && s.Round == 0 {
+					coll.dur = s.End - s.Start
+				}
+			}
+			if st.Get(iostat.IOOverlapTimeNs) == 0 {
+				return fmt.Errorf("the failed write overlapped nothing: it was not issued async")
+			}
+		}
+		return f.Close()
+	})
+
+	var indep outcome
+	runWorld(t, 1, func(c *mpi.Comm) error {
+		st := iostat.New()
+		c.Proc().SetStats(st)
+		f, err := Open(c, failing(), "budget", ModeRdWr|ModeCreate, nil)
+		if err != nil {
+			return err
+		}
+		t0 := c.Clock()
+		werr := f.WriteAt(0, make([]byte, chunk))
+		indep = outcome{err: werr, retries: st.Get(iostat.IORetries), backoff: st.Get(iostat.IOBackoffTimeNs), dur: c.Clock() - t0}
+		return f.Close()
+	})
+
+	want := int64(fault.DefaultRetryPolicy().MaxRetries)
+	if coll.retries != want || indep.retries != want {
+		t.Fatalf("IORetries: collective %d, independent %d, want %d each", coll.retries, indep.retries, want)
+	}
+	if coll.backoff != indep.backoff {
+		t.Fatalf("backoff: collective %d ns, independent %d ns", coll.backoff, indep.backoff)
+	}
+	if !errors.Is(coll.err, fault.ErrRetriesExhausted) || coll.err.Error() != fmt.Sprint(indep.err) {
+		t.Fatalf("errors differ: collective %v, independent %v", coll.err, indep.err)
+	}
+	if coll.dur <= 0 || math.Abs(coll.dur-indep.dur) > 1e-12 {
+		t.Fatalf("completion: collective write took %g s from issue, independent %g s", coll.dur, indep.dur)
 	}
 }

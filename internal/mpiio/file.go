@@ -66,13 +66,6 @@ type Hints struct {
 	// (buckets are stripe-multiple wide; more buckets = finer splits, one
 	// Allreduce of this many int64s per collective call).
 	CBPartitionBuckets int
-	// CBPipeline enables the depth-2 software pipeline in the two-phase
-	// collective path: round r's aggregator I/O is issued asynchronously
-	// and overlaps round r+1's pack/exchange (DESIGN.md §13). Output is
-	// byte-identical to the serial path. Default on; the
-	// PNETCDF_CB_PIPELINE=0 environment variable or the cb_pipeline hint
-	// disables it.
-	CBPipeline bool
 }
 
 func resolveHints(comm *mpi.Comm, info *mpi.Info) Hints {
@@ -87,13 +80,9 @@ func resolveHints(comm *mpi.Comm, info *mpi.Info) Hints {
 		IndWrBufferSize:    4 << 20,
 		CBPartition:        PartitionEven,
 		CBPartitionBuckets: 256,
-		CBPipeline:         true,
 	}
 	if v := os.Getenv("PNETCDF_CB_PARTITION"); v == PartitionBalanced || v == PartitionEven {
 		h.CBPartition = v
-	}
-	if os.Getenv("PNETCDF_CB_PIPELINE") == "0" {
-		h.CBPipeline = false
 	}
 	if n := int(info.GetInt("cb_nodes", int64(h.CBNodes))); n >= 1 {
 		h.CBNodes = min(n, comm.Size())
@@ -122,7 +111,6 @@ func resolveHints(comm *mpi.Comm, info *mpi.Info) Hints {
 	if v := info.GetInt("cb_partition_buckets", int64(h.CBPartitionBuckets)); v >= 1 && v <= 1<<20 {
 		h.CBPartitionBuckets = int(v)
 	}
-	h.CBPipeline = info.GetBool("cb_pipeline", h.CBPipeline)
 	return h
 }
 
@@ -305,29 +293,48 @@ func (f *File) Close() error {
 
 // doPF issues one pfs operation from the rank's current clock under the
 // transient-retry policy, advancing the clock through attempts and backoff
-// waits and recording retry effort in iostat. Errors still present after
-// the budget (and permanent ones immediately) propagate to the caller.
+// waits. Errors still present after the budget (and permanent ones
+// immediately) propagate to the caller.
 func (f *File) doPF(op func(t float64) (float64, error)) error {
-	done, retries, backoff, err := f.retry.Do(f.comm.Clock(), op)
+	done, err := f.retryPF(f.comm.Clock(), op)
 	f.comm.Proc().SetClock(done)
+	return err
+}
+
+// retryPF runs op under the file's retry policy from virtual time t and
+// records the retry effort in iostat. Returns the final completion time.
+func (f *File) retryPF(t float64, op func(t float64) (float64, error)) (float64, error) {
+	done, retries, backoff, err := f.retry.Do(t, op)
 	if retries > 0 {
 		f.st.Add(iostat.IORetries, int64(retries))
 		f.st.AddTime(iostat.IOBackoffTimeNs, backoff)
 	}
-	return err
+	return done, err
 }
 
 // waitPF completes one async pfs operation issued at issueClock (the rank's
 // clock at issue time): it joins the background byte movement, credits the
 // virtual time the I/O spent in flight while the rank was doing other work
 // to io_overlap_ns, and advances the rank clock to max(clock, end) — the
-// pipelined path's analogue of doPF's SetClock(done).
+// async analogue of doPF's SetClock(done).
 //
-// A transient injected error is re-issued synchronously through doPF with
-// the supplied retry closure (async writes are idempotent full rewrites, so
-// the retry semantics match the serial path); permanent errors propagate.
+// A transient failure continues the retry schedule the async attempt
+// started: that attempt is attempt 0 of the same RetryPolicy.Do, so the
+// retries back off from its completion with the same budget, waits and
+// clocks as a synchronous issue at issueClock (async writes are idempotent
+// full rewrites, so retrying is safe). Permanent errors propagate.
 func (f *File) waitPF(op *pfs.AsyncOp, issueClock float64, retry func(t float64) (float64, error)) error {
 	end, err := op.Wait()
+	if fault.IsTransient(err) {
+		attempt0 := true
+		end, err = f.retryPF(issueClock, func(t float64) (float64, error) {
+			if attempt0 {
+				attempt0 = false
+				return end, err
+			}
+			return retry(t)
+		})
+	}
 	now := f.comm.Clock()
 	if overlap := math.Min(end, now) - issueClock; overlap > 0 {
 		f.st.AddTime(iostat.IOOverlapTimeNs, overlap)
@@ -335,14 +342,7 @@ func (f *File) waitPF(op *pfs.AsyncOp, issueClock float64, retry func(t float64)
 	if end > now {
 		f.comm.Proc().SetClock(end)
 	}
-	if err != nil {
-		if fault.IsTransient(err) {
-			f.st.Add(iostat.IORetries, 1)
-			return f.doPF(retry)
-		}
-		return err
-	}
-	return nil
+	return err
 }
 
 // ReadRaw reads bytes at an absolute offset, bypassing the view. The header

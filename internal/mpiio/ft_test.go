@@ -14,31 +14,32 @@ import (
 	"pnetcdf/internal/mpitype"
 )
 
-// The failover matrix: kill one rank at each crash point, on the serial
-// and the pipelined round loop, during collective writes and reads. The
-// invariants under test are the acceptance criteria of DESIGN.md §8:
-// no survivor hangs, every survivor returns the same error, the file is
-// byte-identical to an undisturbed run everywhere outside the dead rank's
-// exclusive data, and a reported DegradedError names only regions inside
-// the dead rank's share.
+// The failover matrix: kill one rank at each crash point, on a
+// single-round and on a multi-round plan, during collective writes and
+// reads. The "serial" cells run a single-round plan, whose one round's I/O
+// is synchronous with nothing to overlap; the "pipelined" cells run an
+// 8-round plan, whose rounds overlap their neighbours' I/O. The invariants
+// under test are the acceptance criteria of DESIGN.md §8: no survivor
+// hangs, every survivor returns the same error, the file is byte-identical
+// to an undisturbed run everywhere outside the dead rank's exclusive data,
+// a reported DegradedError names only regions inside the dead rank's share,
+// and no goroutine outlives the world.
 
 const (
 	ftioTimeout = 15 * time.Millisecond
-	ftioRegion  = int64(256 << 10) // bytes per rank: 8 rounds of 64 KiB per domain
+	ftioRegion  = int64(256 << 10) // bytes per rank: 512 KiB per aggregator domain
 	ftioProcs   = 4
 )
 
-// ftioHints forces a deterministic multi-round two-phase shape: two
-// aggregators at even ranks 0 and 2, 64 KiB rounds.
-func ftioHints(pipelined bool) *mpi.Info {
+// ftioHints forces a deterministic two-phase shape: two aggregators at even
+// ranks 0 and 2, and either one round per domain (the default 16 MiB
+// cb_buffer_size) or 8 rounds of 64 KiB.
+func ftioHints(multiRound bool) *mpi.Info {
 	info := mpi.NewInfo()
-	info.Set("cb_buffer_size", "65536")
 	info.Set("cb_nodes", "2")
 	info.Set("cb_partition", "even")
-	if pipelined {
-		info.Set("cb_pipeline", "enable")
-	} else {
-		info.Set("cb_pipeline", "disable")
+	if multiRound {
+		info.Set("cb_buffer_size", "65536")
 	}
 	return info
 }
@@ -65,8 +66,9 @@ type ftioResult struct {
 // runFTWrite runs an n-rank collective write of disjoint per-rank regions
 // with victim killed at (point, occurrence), returning the file image and
 // the survivors' results indexed by original rank.
-func runFTWrite(t *testing.T, pipelined bool, victim int, point string, occurrence int64) ([]byte, map[int]ftioResult) {
+func runFTWrite(t *testing.T, multiRound bool, victim int, point string, occurrence int64) ([]byte, map[int]ftioResult) {
 	t.Helper()
+	defer checkGoroutines(t)()
 	fsys := testFS()
 	inj := fault.New(fault.Config{Seed: 1})
 	inj.KillRankAt(victim, point, occurrence)
@@ -76,7 +78,7 @@ func runFTWrite(t *testing.T, pipelined bool, victim int, point string, occurren
 	err := mpi.RunFT(ftioProcs, mpi.DefaultNet(), ftioTimeout, func(c *mpi.Comm) error {
 		rank := c.Rank()
 		c.Proc().SetStats(iostat.New())
-		f, err := Open(c, fsys, "ftw", ModeRdWr|ModeCreate, ftioHints(pipelined))
+		f, err := Open(c, fsys, "ftw", ModeRdWr|ModeCreate, ftioHints(multiRound))
 		if err != nil {
 			return err
 		}
@@ -194,27 +196,30 @@ func checkFTWrite(t *testing.T, img []byte, results map[int]ftioResult, victim i
 func TestFTKillWriteFailover(t *testing.T) {
 	cases := []struct {
 		name       string
-		pipelined  bool
+		multiRound bool
 		victim     int
 		point      string
 		occurrence int64
 	}{
-		{"serial/before_pack/r1", false, 1, fault.KillBeforePack, 2},
-		{"serial/mid_exchange/r1", false, 1, fault.KillMidExchange, 2},
-		{"serial/before_pack/agg2", false, 2, fault.KillBeforePack, 4},
+		// A single-round plan passes each crash point once per rank.
+		{"serial/before_pack/r1", false, 1, fault.KillBeforePack, 0},
+		{"serial/mid_exchange/r1", false, 1, fault.KillMidExchange, 0},
+		{"serial/before_pack/agg2", false, 2, fault.KillBeforePack, 0},
 		{"serial/mid_exchange/agg2", false, 2, fault.KillMidExchange, 0},
+		// after_issue follows the aggregator's write, synchronous or not;
+		// only aggregators pass it (ranks 0 and 2 under ftioHints).
+		{"serial/after_issue/agg2", false, 2, fault.KillAfterIssue, 0},
 		{"pipelined/before_pack/r1", true, 1, fault.KillBeforePack, 2},
 		{"pipelined/mid_exchange/r1", true, 1, fault.KillMidExchange, 2},
 		{"pipelined/before_pack/agg2", true, 2, fault.KillBeforePack, 4},
 		{"pipelined/mid_exchange/agg2", true, 2, fault.KillMidExchange, 0},
-		// after_issue exists only where writes are issued asynchronously,
-		// and only aggregators pass it (ranks 0 and 2 under ftioHints).
+		// Round 2's write is in flight; the last round's ran synchronously.
 		{"pipelined/after_issue/agg2", true, 2, fault.KillAfterIssue, 2},
 		{"pipelined/after_issue/last-round", true, 2, fault.KillAfterIssue, 7},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			img, results := runFTWrite(t, tc.pipelined, tc.victim, tc.point, tc.occurrence)
+			img, results := runFTWrite(t, tc.multiRound, tc.victim, tc.point, tc.occurrence)
 			checkFTWrite(t, img, results, tc.victim)
 		})
 	}
@@ -225,23 +230,25 @@ func TestFTKillWriteFailover(t *testing.T) {
 func TestFTKillReadFailover(t *testing.T) {
 	cases := []struct {
 		name       string
-		pipelined  bool
+		multiRound bool
 		victim     int
 		point      string
 		occurrence int64
 	}{
-		{"serial/before_pack", false, 1, fault.KillBeforePack, 2},
-		{"serial/mid_exchange", false, 2, fault.KillMidExchange, 1},
+		{"serial/before_pack", false, 1, fault.KillBeforePack, 0},
+		{"serial/mid_exchange", false, 2, fault.KillMidExchange, 0},
+		{"serial/after_issue", false, 2, fault.KillAfterIssue, 0},
 		{"pipelined/before_pack", true, 1, fault.KillBeforePack, 2},
 		{"pipelined/mid_exchange", true, 2, fault.KillMidExchange, 1},
 		{"pipelined/after_issue", true, 2, fault.KillAfterIssue, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			defer checkGoroutines(t)()
 			fsys := testFS()
 			// Seed the file undisturbed, then kill during the read-back.
 			runWorld(t, ftioProcs, func(c *mpi.Comm) error {
-				f, err := Open(c, fsys, "ftr", ModeRdWr|ModeCreate, ftioHints(tc.pipelined))
+				f, err := Open(c, fsys, "ftr", ModeRdWr|ModeCreate, ftioHints(tc.multiRound))
 				if err != nil {
 					return err
 				}
@@ -262,7 +269,7 @@ func TestFTKillReadFailover(t *testing.T) {
 			err := mpi.RunFT(ftioProcs, mpi.DefaultNet(), ftioTimeout, func(c *mpi.Comm) error {
 				rank := c.Rank()
 				c.Proc().SetStats(iostat.New())
-				f, err := Open(c, fsys, "ftr", ModeRdOnly, ftioHints(tc.pipelined))
+				f, err := Open(c, fsys, "ftr", ModeRdOnly, ftioHints(tc.multiRound))
 				if err != nil {
 					return err
 				}
@@ -298,12 +305,12 @@ func TestFTKillReadFailover(t *testing.T) {
 // TestFTCleanRunByteIdentical: the detector being armed must not change a
 // single output byte or trigger any FT machinery on a fault-free run.
 func TestFTCleanRunByteIdentical(t *testing.T) {
-	for _, pipelined := range []bool{false, true} {
+	for _, multiRound := range []bool{false, true} {
 		run := func(detector bool) []byte {
 			fsys := testFS()
 			fn := func(c *mpi.Comm) error {
 				c.Proc().SetStats(iostat.New())
-				f, err := Open(c, fsys, "clean", ModeRdWr|ModeCreate, ftioHints(pipelined))
+				f, err := Open(c, fsys, "clean", ModeRdWr|ModeCreate, ftioHints(multiRound))
 				if err != nil {
 					return err
 				}
@@ -343,7 +350,7 @@ func TestFTCleanRunByteIdentical(t *testing.T) {
 			return img
 		}
 		if !bytes.Equal(run(false), run(true)) {
-			t.Fatalf("pipelined=%v: detector changed output bytes on a fault-free run", pipelined)
+			t.Fatalf("multiRound=%v: detector changed output bytes on a fault-free run", multiRound)
 		}
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"pnetcdf/internal/mpi"
 	"pnetcdf/internal/mpitype"
@@ -13,6 +15,30 @@ import (
 )
 
 func testFS() *pfs.FS { return pfs.New(pfs.DefaultConfig()) }
+
+// checkGoroutines records the number of running goroutines and returns a
+// check that fails t unless the count falls back to it within a deadline.
+// Take it before a world starts and defer the check: every rank, failure
+// detector and async I/O goroutine the world started must have exited.
+//
+//	defer checkGoroutines(t)()
+func checkGoroutines(t *testing.T) func() {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+			if time.Now().After(deadline) {
+				stacks := make([]byte, 1<<16)
+				stacks = stacks[:runtime.Stack(stacks, true)]
+				t.Errorf("goroutine leak: %d running, %d before the world started\n%s", n, base, stacks)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
 
 func runWorld(t *testing.T, n int, fn func(*mpi.Comm) error) {
 	t.Helper()
@@ -192,6 +218,7 @@ func stridedView(rank, size int, count int64) mpitype.Datatype {
 }
 
 func TestCollectiveWriteReadInterleaved(t *testing.T) {
+	defer checkGoroutines(t)()
 	fsys := testFS()
 	const perRank = 4096
 	const p = 4
@@ -333,6 +360,7 @@ func TestCollectiveWithIdleRanks(t *testing.T) {
 }
 
 func TestCollectiveMultipleRounds(t *testing.T) {
+	defer checkGoroutines(t)()
 	// Force several two-phase rounds with a tiny cb_buffer_size.
 	fsys := testFS()
 	info := mpi.NewInfo().Set("cb_buffer_size", "4096").Set("cb_nodes", "2")

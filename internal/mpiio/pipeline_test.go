@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 	"sync"
 	"testing"
 
@@ -13,18 +12,13 @@ import (
 	"pnetcdf/internal/pfs"
 )
 
-// pipelineImage runs a 4-rank interleaved multi-round collective write
-// (tiny cb_buffer_size so the plan has many rounds) with the pipeline
-// toggled by hint, reads it back collectively, and returns the raw file
-// image plus the summed stats across ranks.
-func pipelineImage(t *testing.T, pipeline string) ([]byte, map[iostat.Counter]int64) {
+// roundImage runs a 4-rank collective write of one 256 KiB block per rank
+// under info, reads it back collectively, and returns the raw file image
+// plus the summed stats across ranks.
+func roundImage(t *testing.T, info *mpi.Info) ([]byte, map[iostat.Counter]int64) {
 	t.Helper()
 	fsys := testFS()
-	info := mpi.NewInfo().
-		Set("cb_buffer_size", "4096").
-		Set("cb_nodes", "2").
-		Set("cb_pipeline", pipeline)
-	const per = 64 << 10
+	const per = 256 << 10
 	var mu sync.Mutex
 	sum := map[iostat.Counter]int64{}
 	runWorld(t, 4, func(c *mpi.Comm) error {
@@ -47,7 +41,7 @@ func pipelineImage(t *testing.T, pipeline string) ([]byte, map[iostat.Counter]in
 			return err
 		}
 		if !bytes.Equal(got, data) {
-			return fmt.Errorf("rank %d: round trip mismatch (pipeline=%s)", c.Rank(), pipeline)
+			return fmt.Errorf("rank %d: round trip mismatch (hints %v)", c.Rank(), info)
 		}
 		if err := f.Close(); err != nil {
 			return err
@@ -71,65 +65,70 @@ func pipelineImage(t *testing.T, pipeline string) ([]byte, map[iostat.Counter]in
 	return img, sum
 }
 
-// TestPipelinedMatchesSerialBytes: the pipelined round loop must be a pure
-// scheduling change — the file image it produces is byte-identical to the
-// serial loop's, while its stats show the overlap actually happened
-// (io_pipelined_rounds and io_overlap_ns nonzero) and the serial run shows
-// none.
+// TestPipelinedMatchesSerialBytes: overlapping rounds is a pure scheduling
+// change. A multi-round plan, whose rounds overlap their neighbours, must
+// write a file byte-identical to a single-round plan, whose one round runs
+// serially (synchronous I/O, nothing to overlap), and to the independent-I/O
+// oracle (collective buffering disabled). Its stats must show the overlap
+// actually happened, and the single-round run must show none.
 func TestPipelinedMatchesSerialBytes(t *testing.T) {
-	serial, sstats := pipelineImage(t, "disable")
-	piped, pstats := pipelineImage(t, "enable")
-	if !bytes.Equal(serial, piped) {
-		t.Fatal("pipelined collective produced different bytes than serial")
+	single, sstats := roundImage(t, mpi.NewInfo())
+	multi, mstats := roundImage(t, mpi.NewInfo().Set("cb_buffer_size", "65536").Set("cb_nodes", "2"))
+	oracle, _ := roundImage(t, mpi.NewInfo().Set("romio_cb_write", "disable").Set("romio_cb_read", "disable"))
+	if !bytes.Equal(single, multi) {
+		t.Fatal("multi-round collective produced different bytes than single-round")
 	}
-	if pstats[iostat.IOPipelinedRounds] == 0 {
-		t.Fatal("pipelined run recorded no io_pipelined_rounds")
+	if !bytes.Equal(single, oracle) {
+		t.Fatal("collective write produced different bytes than independent I/O")
 	}
-	if pstats[iostat.IOOverlapTimeNs] == 0 {
-		t.Fatal("pipelined run recorded no io_overlap_ns — nothing overlapped")
+	// One write and one read per rank, one round each.
+	if got := sstats[iostat.IOTwoPhaseRounds]; got != 2*4 {
+		t.Fatalf("single-round run: %d two-phase rounds, want %d", got, 2*4)
+	}
+	if mstats[iostat.IOTwoPhaseRounds] <= sstats[iostat.IOTwoPhaseRounds] {
+		t.Fatalf("multi-round run: %d two-phase rounds, want more than %d",
+			mstats[iostat.IOTwoPhaseRounds], sstats[iostat.IOTwoPhaseRounds])
+	}
+	if mstats[iostat.IOPipelinedRounds] != mstats[iostat.IOTwoPhaseRounds] {
+		t.Fatalf("multi-round run: io_pipelined_rounds %d, want every round (%d)",
+			mstats[iostat.IOPipelinedRounds], mstats[iostat.IOTwoPhaseRounds])
+	}
+	if mstats[iostat.IOOverlapTimeNs] == 0 {
+		t.Fatal("multi-round run recorded no io_overlap_ns — nothing overlapped")
 	}
 	if sstats[iostat.IOPipelinedRounds] != 0 || sstats[iostat.IOOverlapTimeNs] != 0 {
-		t.Fatalf("serial run recorded pipeline counters: %v", sstats)
-	}
-	if pstats[iostat.IOTwoPhaseRounds] != sstats[iostat.IOTwoPhaseRounds] {
-		t.Fatalf("round counts differ: pipelined %d vs serial %d",
-			pstats[iostat.IOTwoPhaseRounds], sstats[iostat.IOTwoPhaseRounds])
+		t.Fatalf("single-round run recorded overlap counters: %v", sstats)
 	}
 }
 
 // TestPipelineSingleRoundFallsBackToSerial: a one-round plan has nothing to
-// overlap with, so the dispatcher must take the serial loop even with the
-// pipeline enabled.
+// overlap with, so its aggregator I/O runs serially (synchronously): the
+// call records no io_pipelined_rounds and no io_overlap_ns, on the write
+// and on the read.
 func TestPipelineSingleRoundFallsBackToSerial(t *testing.T) {
 	fsys := testFS()
 	runWorld(t, 4, func(c *mpi.Comm) error {
-		c.Proc().SetStats(iostat.New())
-		// Explicit enable: the fallback must come from the plan being
-		// single-round, not from the hint (or the PNETCDF_CB_PIPELINE=0
-		// verify pass) turning the pipeline off.
-		info := mpi.NewInfo().Set("cb_pipeline", "enable")
-		f, err := Open(c, fsys, "one", ModeRdWr|ModeCreate, info)
+		st := iostat.New()
+		c.Proc().SetStats(st)
+		f, err := Open(c, fsys, "one", ModeRdWr|ModeCreate, nil)
 		if err != nil {
 			return err
 		}
-		// The default (no hint, no env override) must be pipeline-on.
-		if os.Getenv("PNETCDF_CB_PIPELINE") == "" {
-			def, err := Open(c, fsys, "defaults", ModeRdWr|ModeCreate, nil)
-			if err != nil {
-				return err
-			}
-			if !def.Hints().CBPipeline {
-				return fmt.Errorf("cb_pipeline not on by default")
-			}
-			if err := def.Close(); err != nil {
-				return err
-			}
-		}
-		if err := f.WriteAtAll(int64(c.Rank())*4096, make([]byte, 4096)); err != nil {
+		buf := make([]byte, 4096)
+		if err := f.WriteAtAll(int64(c.Rank())*4096, buf); err != nil {
 			return err
 		}
-		if got := c.Proc().Stats().Get(iostat.IOPipelinedRounds); got != 0 {
-			return fmt.Errorf("rank %d: single-round plan ran pipelined (%d rounds)", c.Rank(), got)
+		if err := f.ReadAtAll(int64(c.Rank())*4096, buf); err != nil {
+			return err
+		}
+		if got := st.Get(iostat.IOTwoPhaseRounds); got != 2 {
+			return fmt.Errorf("rank %d: %d two-phase rounds, want one per call", c.Rank(), got)
+		}
+		if got := st.Get(iostat.IOPipelinedRounds); got != 0 {
+			return fmt.Errorf("rank %d: single-round plan recorded %d pipelined rounds", c.Rank(), got)
+		}
+		if got := st.Get(iostat.IOOverlapTimeNs); got != 0 {
+			return fmt.Errorf("rank %d: single-round plan recorded %d ns of overlap", c.Rank(), got)
 		}
 		return f.Close()
 	})

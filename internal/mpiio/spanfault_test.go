@@ -71,7 +71,7 @@ func TestSpansClosedUnderPipelinedFaults(t *testing.T) {
 	})
 	fsys.SetFault(in)
 	const n = 4
-	info := mpi.NewInfo().Set("cb_buffer_size", "4096").Set("cb_nodes", "2").Set("cb_pipeline", "enable")
+	info := mpi.NewInfo().Set("cb_buffer_size", "4096").Set("cb_nodes", "2")
 	recs := make([]*span.Recorder, n)
 	runWorld(t, n, func(c *mpi.Comm) error {
 		proc := c.Proc()
@@ -123,7 +123,7 @@ func TestSpansClosedAfterPipelinedCrashAbort(t *testing.T) {
 	in := fault.New(fault.Config{Seed: 29})
 	fsys.SetFault(in)
 	const n = 4
-	info := mpi.NewInfo().Set("cb_buffer_size", "65536").Set("cb_nodes", "2").Set("cb_pipeline", "enable")
+	info := mpi.NewInfo().Set("cb_buffer_size", "65536").Set("cb_nodes", "2")
 	recs := make([]*span.Recorder, n)
 	errs := make([]error, n)
 	runWorld(t, n, func(c *mpi.Comm) error {

@@ -81,17 +81,16 @@ func collIndexes(spans []Span) map[int]map[int64]int {
 // Returns rounds sorted by (Coll, Round).
 //
 // A round's spans come from two places: children of its round span
-// (pack/exchange, plus everything else on the serial path), and floating
-// leaves recorded directly under the collective span with an explicit
-// Round tag — the pipelined path's agg_write/agg_read/reply_xchg/scatter,
-// whose intervals genuinely overlap the next round's span. Per (rank,
+// (pack/exchange), and floating leaves recorded directly under the
+// collective span with an explicit Round tag — the round engine's
+// agg_write/agg_read/reply_xchg/scatter, whose intervals overlap the next
+// round's span when the round's I/O was issued asynchronously. Per (rank,
 // collective) the rounds are walked in index order with a time cursor:
 // round r is charged max(0, lastEnd_r − max(roundStart_r, cursor)) and the
 // cursor advances to lastEnd_r, so an aggregator I/O that completes inside
 // round r+1's window is attributed to round r without the overlapped
 // stretch being counted twice — per-rank round works never sum past wall
-// time. Serial traces (no overlap) get the historical attribution
-// unchanged.
+// time. Rounds that overlap nothing are charged their plain extent.
 func CriticalPath(spans []Span) []RoundCritical {
 	idx := index(spans)
 	colls := collIndexes(spans)
@@ -144,8 +143,8 @@ func CriticalPath(spans []Span) []RoundCritical {
 	}
 
 	// Pass 2: attribute the working spans — children of a round span, or
-	// round-tagged leaves directly under a collective span (the pipelined
-	// overlapped phases). Leaves deeper in the tree (e.g. plan_domain under
+	// round-tagged leaves directly under a collective span (the aggregator
+	// I/O, reply and scatter phases). Leaves deeper in the tree (e.g. plan_domain under
 	// the plan span, which reuses Round as a domain index) stay out.
 	attribute := func(ra *roundAgg, s *Span) {
 		ra.n++

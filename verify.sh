@@ -10,12 +10,11 @@
 #   LINT=0   skip the nclint pass (escape hatch while iterating).
 #   CB_PARTITION=0  skip the cb_partition=balanced re-run of the collective
 #            suites (on by default; see DESIGN.md §12).
-#   PIPELINE=0  skip the PNETCDF_CB_PIPELINE=0 re-run of the collective
-#            suites and the serial-vs-pipelined byte-identity check
-#            (on by default; see DESIGN.md §13).
+#   ROUNDS=0  skip the one-round vs multi-round FLASH checkpoint
+#            byte-identity check (on by default; see DESIGN.md §13).
 #   BENCH=1  smoke-run every benchmark once (catches bit-rotted bench code),
 #            then run the FLASH I/O benchmark with statistics and emit
-#            results/BENCH_flashio.json, and record the pipelined-vs-serial
+#            results/BENCH_flashio.json, and record the multi-round
 #            checkpoint wall clock in results/BENCH_pipeline.txt (slower;
 #            not part of the gate).
 #   FAULT=1  re-run the fault-injection suites under the race detector and
@@ -65,22 +64,19 @@ if [ "${CB_PARTITION:-1}" = "1" ]; then
         ./internal/mpiio/ ./internal/core/ ./internal/integration/ ./internal/bench/
 fi
 
-if [ "${PIPELINE:-1}" = "1" ]; then
-    # Re-run the collective-path suites with the depth-2 round pipeline
-    # disabled (DESIGN.md §13): the serial loop must pass every test, and a
-    # multi-round FLASH checkpoint must be byte-identical under both
-    # settings (pipelining is a scheduling change only).
-    PNETCDF_CB_PIPELINE=0 go test \
-        ./internal/mpiio/ ./internal/core/ ./internal/integration/ ./internal/bench/
-    pipedir=$(mktemp -d)
+if [ "${ROUNDS:-1}" = "1" ]; then
+    # The plan's round count decides which rounds overlap (DESIGN.md §13),
+    # never the bytes: a FLASH checkpoint written in one round per
+    # collective (default hints) and in many (a 64 KiB staging buffer, two
+    # aggregators) must be byte-identical.
+    roundsdir=$(mktemp -d)
+    go run ./cmd/flashio-bench -block 8 -procs 8 -blocks-per-proc 20 \
+        -files checkpoint -out "$roundsdir/one.nc" > /dev/null
     go run ./cmd/flashio-bench -block 8 -procs 8 -blocks-per-proc 20 \
         -files checkpoint -cb-buffer-size 65536 -cb-nodes 2 \
-        -cb-pipeline enable -out "$pipedir/piped.nc" > /dev/null
-    go run ./cmd/flashio-bench -block 8 -procs 8 -blocks-per-proc 20 \
-        -files checkpoint -cb-buffer-size 65536 -cb-nodes 2 \
-        -cb-pipeline disable -out "$pipedir/serial.nc" > /dev/null
-    go run ./cmd/ncdiff "$pipedir/piped.nc" "$pipedir/serial.nc"
-    rm -rf "$pipedir"
+        -out "$roundsdir/multi.nc" > /dev/null
+    go run ./cmd/ncdiff "$roundsdir/one.nc" "$roundsdir/multi.nc"
+    rm -rf "$roundsdir"
 fi
 
 if [ "${BENCH:-0}" = "1" ]; then
